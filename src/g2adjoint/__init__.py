@@ -8,8 +8,6 @@ from .algebra import (
     Rational,
     RingMatrix,
     TruncatedSeries,
-    charpoly,
-    det,
     series_expand,
 )
 
@@ -19,7 +17,5 @@ __all__ = [
     "Rational",
     "RingMatrix",
     "TruncatedSeries",
-    "charpoly",
-    "det",
     "series_expand",
 ]

@@ -118,16 +118,6 @@ class LaurentPoly:
         (exps, coeff), = self.terms.items()
         return LaurentPoly(self.variables, {tuple(-e for e in exps): 1 / coeff})
 
-    def total_degree(self, names=None):
-        """Max total degree; restricted to `names` if given.  None if zero."""
-        if not self.terms:
-            return None
-        if names is None:
-            idx = range(len(self.variables))
-        else:
-            idx = [i for i, v in enumerate(self.variables) if v in names]
-        return max(sum(e[i] for i in idx) for e in self.terms)
-
     def min_exponent(self, name):
         """Smallest exponent of `name` over all terms (0 if absent or zero)."""
         if not self.terms:
@@ -241,6 +231,9 @@ class LaurentPoly:
         return self.variables == other.variables and self.terms == other.terms
 
     def __hash__(self):
+        # a constant equals its Fraction, so it must hash like one
+        if not self.variables:
+            return hash(self.as_fraction())
         return hash((self.variables, frozenset(self.terms.items())))
 
     # -- substitution ------------------------------------------------------
@@ -422,9 +415,6 @@ class TruncatedSeries:
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
 
-    def _series_degree(self, variables, exps):
-        return sum(e for v, e in zip(variables, exps) if v in self.series_vars)
-
     def _check_compatible(self, other):
         if self.series_vars != other.series_vars or self.bound != other.bound:
             raise ValueError("incompatible truncation data")
@@ -594,11 +584,6 @@ class RingMatrix:
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
-    def zeros(cls, rows, cols=None):
-        cols = rows if cols is None else cols
-        return cls([[0] * cols for _ in range(rows)])
-
-    @classmethod
     def diagonal(cls, values):
         values = list(values)
         n = len(values)
@@ -672,7 +657,7 @@ class RingMatrix:
 
     def is_diagonal(self):
         return all(
-            _is_zero_scalar(self.entries[i][j])
+            is_zero(self.entries[i][j])
             for i in range(self.rows)
             for j in range(self.cols)
             if i != j
@@ -682,9 +667,9 @@ class RingMatrix:
         for i in range(self.rows):
             for j in range(self.cols):
                 e = self.entries[i][j]
-                if i == j and not _is_zero_scalar(e - 1):
+                if i == j and not is_zero(e - 1):
                     return False
-                if i > j and not _is_zero_scalar(e):
+                if i > j and not is_zero(e):
                     return False
         return True
 
@@ -694,7 +679,7 @@ class RingMatrix:
         if self.rows != other.rows or self.cols != other.cols:
             return False
         return all(
-            _is_zero_scalar(a - b)
+            is_zero(a - b)
             for r1, r2 in zip(self.entries, other.entries)
             for a, b in zip(r1, r2)
         )
@@ -720,7 +705,7 @@ class RingMatrix:
                         sign = -sign
                         continue
                     e = row[j]
-                    if _is_zero_scalar(e):
+                    if is_zero(e):
                         continue
                     key = mask | bit
                     term = (val * e) if sign > 0 else -(val * e)
@@ -732,18 +717,7 @@ class RingMatrix:
         """det(name*Id - self) as a LaurentPoly."""
         if not self.is_square():
             raise ValueError("characteristic polynomial of a non-square matrix")
-        x = LaurentPoly.variable(name)
-        shifted = RingMatrix(
-            [
-                [
-                    (x - e) if i == j else (LaurentPoly.zero() - e)
-                    for j, e in enumerate(row)
-                ]
-                for i, row in enumerate(self.entries)
-            ]
-        )
-        d = shifted.det()
-        return d if isinstance(d, LaurentPoly) else LaurentPoly.constant(d)
+        return (RingMatrix.identity(self.rows).scale(sym(name)) - self).det()
 
     def __str__(self):
         return "\n".join(
@@ -757,24 +731,18 @@ class RingMatrix:
 def _dot(row, col):
     acc = None
     for a, b in zip(row, col):
-        if _is_zero_scalar(a) or _is_zero_scalar(b):
+        if is_zero(a) or is_zero(b):
             continue
         term = a * b
         acc = term if acc is None else acc + term
     return 0 if acc is None else acc
 
 
-def _is_zero_scalar(x):
-    if isinstance(x, LaurentPoly):
-        return x.is_zero()
-    return x == 0
+def is_zero(x):
+    """Zero test for any scalar: int, Fraction or LaurentPoly."""
+    return x.is_zero() if isinstance(x, LaurentPoly) else x == 0
 
 
-def det(matrix):
-    """Exact determinant of a square RingMatrix."""
-    return matrix.det()
-
-
-def charpoly(matrix, name):
-    """Characteristic polynomial det(name*Id - matrix)."""
-    return matrix.charpoly(name)
+def sym(name, power=1):
+    """The Laurent monomial name^power."""
+    return LaurentPoly.variable(name, power)

@@ -3,7 +3,7 @@
 Subcommands (all under `verify`): lie, iwasawa, identities, lfactor,
 integral, orbits, all.  Output is human-readable text or a stable JSON
 document; exit code 0 when every check passes, 1 on any failure, 2 on
-usage errors.
+usage errors and invalid values.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import g2model, lfunc, orbits
 from .report import merge_reports, reports_to_json
@@ -40,10 +39,6 @@ def build_parser():
         p.add_argument(
             "--no-timestamp", action="store_true",
             help="omit the timestamp field from JSON output",
-        )
-        p.add_argument(
-            "--parallel", action="store_true",
-            help="run independent suites concurrently (deterministic order)",
         )
 
     common(suites.add_parser("lie", help="Lie-algebra model identities"))
@@ -82,73 +77,55 @@ def build_parser():
     p.add_argument("--degree", type=int, default=DEFAULT_DEGREE)
     p.add_argument("--q", type=int, default=DEFAULT_Q)
     p.add_argument("--rho", type=int, default=DEFAULT_RHO)
+    p.set_defaults(case="both")
     common(p)
     return parser
 
 
-def _lfactor_report(case):
-    if case == "both":
-        return merge_reports(
-            "lfactor",
-            {"case": "both"},
-            [
-                ("split", lfunc.verify_lfactor("split")),
-                ("nonsplit", lfunc.verify_lfactor("nonsplit")),
-            ],
-        )
-    return lfunc.verify_lfactor(case)
+def _check_values(parser, args):
+    """Reject values no suite can run with, as usage errors (exit 2)."""
+    if getattr(args, "degree", 1) < 1:
+        parser.error("--degree must be at least 1")
+    if hasattr(args, "q"):
+        try:
+            orbits._validate(args.q, args.rho)
+        except ValueError as exc:
+            parser.error(f"--q {args.q} --rho {args.rho}: {exc}")
 
 
-def _integral_report(case, degree):
-    if case == "both":
-        return merge_reports(
-            "integral",
-            {"case": "both", "degree": degree},
-            [
-                ("split", lfunc.verify_integral("split", degree)),
-                ("nonsplit", lfunc.verify_integral("nonsplit", degree)),
-            ],
-        )
-    return lfunc.verify_integral(case, degree)
+def _by_case(suite, case, verify, **parameters):
+    """verify(case), or for case "both" the split and non-split reports
+    merged under `suite`."""
+    if case != "both":
+        return verify(case)
+    return merge_reports(
+        suite,
+        {"case": case, **parameters},
+        [(c, verify(c)) for c in ("split", "nonsplit")],
+    )
 
 
-def _suite_runners(args):
-    """Zero-argument callables for every requested suite, in report order."""
-    suite = args.suite
-    if suite == "lie":
-        return [g2model.verify_lie_models]
-    if suite == "iwasawa":
-        return [g2model.verify_iwasawa]
-    if suite == "identities":
-        return [lambda: lfunc.verify_identities(args.degree)]
-    if suite == "lfactor":
-        return [lambda: _lfactor_report(args.case)]
-    if suite == "integral":
-        return [lambda: _integral_report(args.case, args.degree)]
-    if suite == "orbits":
-        return [lambda: orbits.verify_orbits(args.q, args.rho)]
-    if suite == "all":
-        return [
-            g2model.verify_lie_models,
-            g2model.verify_iwasawa,
-            lambda: lfunc.verify_identities(
-                args.degree, min(args.degree, lfunc.POINCARE_DEGREE_LIMIT)
-            ),
-            lambda: _lfactor_report("both"),
-            lambda: _integral_report("both", args.degree),
-            lambda: orbits.verify_orbits(args.q, args.rho),
-        ]
-    raise ValueError(f"unknown suite {suite!r}")
+# Every suite in report order; `all` runs each of them.  The entries look
+# their functions up on the module at call time, so patching a module
+# attribute takes effect.
+SUITES = {
+    "lie": lambda args: g2model.verify_lie_models(),
+    "iwasawa": lambda args: g2model.verify_iwasawa(),
+    "identities": lambda args: lfunc.verify_identities(args.degree),
+    "lfactor": lambda args: _by_case(
+        "lfactor", args.case, lfunc.verify_lfactor
+    ),
+    "integral": lambda args: _by_case(
+        "integral", args.case, lambda c: lfunc.verify_integral(c, args.degree),
+        degree=args.degree,
+    ),
+    "orbits": lambda args: orbits.verify_orbits(args.q, args.rho),
+}
 
 
 def run(args):
-    runners = _suite_runners(args)
-    if args.parallel and len(runners) > 1:
-        with ThreadPoolExecutor(max_workers=len(runners)) as pool:
-            futures = [pool.submit(r) for r in runners]
-            reports = [f.result() for f in futures]
-    else:
-        reports = [r() for r in runners]
+    names = list(SUITES) if args.suite == "all" else [args.suite]
+    reports = [SUITES[name](args) for name in names]
 
     if args.format == "json":
         timestamp = None if args.no_timestamp else time.strftime(
@@ -172,6 +149,7 @@ def run(args):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    _check_values(parser, args)
     return run(args)
 
 

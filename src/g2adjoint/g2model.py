@@ -24,6 +24,8 @@ from .algebra import (
     LaurentPoly,
     RingMatrix,
     equal_mod_inverses,
+    is_zero,
+    sym,
 )
 from .report import VerificationReport
 
@@ -36,18 +38,8 @@ SU21_PARAMS = ("T1", "a", "d", "e", "f", "h", "k", "l")
 PARABOLIC_BLOCKS = (0, 0, 1, 1, 1, 1, 2, 2)
 
 
-def sym(name, power=1):
-    return LaurentPoly.variable(name, power)
-
-
-def bilinear_J(n=8):
-    """The anti-diagonal identity matrix."""
-    return RingMatrix(
-        [[1 if i + j == n - 1 else 0 for j in range(n)] for i in range(n)]
-    )
-
-
-J8 = bilinear_J(8)
+# The bilinear form: the anti-diagonal identity matrix.
+J8 = RingMatrix([[1 if i + j == 7 else 0 for j in range(8)] for i in range(8)])
 
 V0_VECTOR = (0, 0, 0, 1, -1, 0, 0, 0)
 
@@ -101,20 +93,16 @@ def trilinear(u, v, w):
     acc = LaurentPoly.zero()
     for (i, j, k), coeff in TRILINEAR.items():
         a = u[i]
-        if _zero(a):
+        if is_zero(a):
             continue
         b = v[j]
-        if _zero(b):
+        if is_zero(b):
             continue
         c = w[k]
-        if _zero(c):
+        if is_zero(c):
             continue
         acc = acc + coeff * (a * b * c)
     return acc
-
-
-def _zero(x):
-    return x.is_zero() if isinstance(x, LaurentPoly) else x == 0
 
 
 def g2_element(T1, T2, a, b, c, d, e, f, g, h, i, j, k, l):
@@ -249,7 +237,7 @@ def _root_weight(param):
     weight = None
     for i in range(8):
         for j in range(8):
-            if not _zero(e[i, j]):
+            if not is_zero(e[i, j]):
                 cand = b[i, j] * (1 if e[i, j] == 1 else -1)
                 if weight is None:
                     weight = cand
@@ -303,7 +291,7 @@ def one_param(param, u):
     fact = 1
     for k in range(1, 8):
         power = power * e
-        if all(_zero(power[i, j]) for i in range(8) for j in range(8)):
+        if all(is_zero(power[i, j]) for i in range(8) for j in range(8)):
             break
         fact *= k
         scalar = scalar * u
@@ -339,7 +327,7 @@ def in_parabolic(matrix):
     """Structural membership test: zero below the P block pattern."""
     for i in range(8):
         for j in range(8):
-            if PARABOLIC_BLOCKS[i] > PARABOLIC_BLOCKS[j] and not _zero(matrix[i, j]):
+            if PARABOLIC_BLOCKS[i] > PARABOLIC_BLOCKS[j] and not is_zero(matrix[i, j]):
                 return False
     return True
 
@@ -361,11 +349,6 @@ def preserves_trilinear(matrix):
 _TRIPLES = [
     (i, j, k) for i in range(8) for j in range(i + 1, 8) for k in range(j + 1, 8)
 ]
-
-
-def fixes_vector(matrix, vector):
-    image = matrix.apply(list(vector))
-    return all(_zero(x - y) for x, y in zip(image, vector))
 
 
 # -- torus element and Iwasawa factorizations --------------------------------
@@ -401,10 +384,7 @@ def matrices_equal_mod(m1, m2, relations=None):
     relations = {"N": N_RELATION} if relations is None else relations
     for i in range(m1.rows):
         for j in range(m1.cols):
-            x = m1[i, j]
-            y = m2[i, j]
-            x = x if isinstance(x, LaurentPoly) else LaurentPoly.constant(x)
-            if not equal_mod_inverses(x, y, relations):
+            if not equal_mod_inverses(m1[i, j], m2[i, j], relations):
                 return (i, j)
     return None
 
@@ -527,13 +507,13 @@ def derivation_defect(matrix):
                 acc = LaurentPoly.zero()
                 for m in range(8):
                     c = TRILINEAR.get((m, j, k))
-                    if c is not None and not _zero(cols[i][m]):
+                    if c is not None and not is_zero(cols[i][m]):
                         acc = acc + c * cols[i][m]
                     c = TRILINEAR.get((i, m, k))
-                    if c is not None and not _zero(cols[j][m]):
+                    if c is not None and not is_zero(cols[j][m]):
                         acc = acc + c * cols[j][m]
                     c = TRILINEAR.get((i, j, m))
-                    if c is not None and not _zero(cols[k][m]):
+                    if c is not None and not is_zero(cols[k][m]):
                         acc = acc + c * cols[k][m]
                 if not acc.is_zero():
                     return (i, j, k)
@@ -542,7 +522,7 @@ def derivation_defect(matrix):
 
 def annihilates_v_rho(matrix):
     image = matrix.apply(list(v_rho_vector()))
-    return all(_zero(x) for x in image)
+    return all(is_zero(x) for x in image)
 
 
 def verify_lie_models():
@@ -556,7 +536,7 @@ def verify_lie_models():
             (i, j)
             for i in range(8)
             for j in range(8)
-            if not _zero(defect[i, j])
+            if not is_zero(defect[i, j])
         ),
         None,
     )
@@ -588,7 +568,7 @@ def verify_lie_models():
     # read-off coordinates of the 14 generators are the 14 unit vectors,
     # so the span has dimension exactly 14
     unit = all(
-        _zero(value - (1 if name == p else 0))
+        is_zero(value - (1 if name == p else 0))
         for p in G2_PARAMS
         for name, value in g2_read_params(generators[p]).items()
     )
@@ -627,7 +607,7 @@ def verify_lie_models():
     ]
     report.check(
         "v-rho-annihilator-is-rank-6-system",
-        all(_zero(got - want) for got, want in zip(image, expected)),
+        all(is_zero(got - want) for got, want in zip(image, expected)),
         "X . v_rho imposes exactly six independent linear constraints, "
         "so the annihilator has dimension 14 - 6 = 8",
     )
@@ -663,33 +643,23 @@ def verify_iwasawa():
     t = torus_matrix()
     relations = {"N": N_RELATION}
 
-    det = t.det()
-    det = det if isinstance(det, LaurentPoly) else LaurentPoly.constant(det)
     report.check(
         "torus-determinant-one",
-        equal_mod_inverses(det, LaurentPoly.one(), relations),
+        equal_mod_inverses(t.det(), 1, relations),
         "det = 1 once N = a^2 - b^2*rho; fails for the printed N = a^2 - b*rho^2",
     )
     report.note_typo("norm-formula")
 
     image = t.apply(list(v_rho_vector()))
     ok = all(
-        equal_mod_inverses(
-            got if isinstance(got, LaurentPoly) else LaurentPoly.constant(got),
-            want if isinstance(want, LaurentPoly) else LaurentPoly.constant(want),
-            relations,
-        )
+        equal_mod_inverses(got, want, relations)
         for got, want in zip(image, v_rho_vector())
     )
     report.check("torus-fixes-v-rho", ok, "t . v_rho = v_rho")
 
     image = t.apply(list(V0_VECTOR))
     ok = all(
-        equal_mod_inverses(
-            got if isinstance(got, LaurentPoly) else LaurentPoly.constant(got),
-            LaurentPoly.constant(want),
-            relations,
-        )
+        equal_mod_inverses(got, want, relations)
         for got, want in zip(image, V0_VECTOR)
     )
     report.check("torus-fixes-v0", ok, "t . v0 = v0")
@@ -705,7 +675,7 @@ def verify_iwasawa():
     ok = True
     for (i, j, k) in _TRIPLES:
         value = trilinear(cols[i], cols[j], cols[k])
-        target = LaurentPoly.constant(TRILINEAR.get((i, j, k), 0))
+        target = TRILINEAR.get((i, j, k), 0)
         if not equal_mod_inverses(value, target, relations):
             ok = False
             break

@@ -21,11 +21,13 @@ from .algebra import (
     TruncatedSeries,
     geometric_sum,
     series_expand,
+    sym,
 )
 from .report import VerificationReport, merge_reports
 from .reps import (
     NonSplitClass,
     SplitClass,
+    adjoint_weights,
     adjugate3,
     conjugation_adjugate_matrix,
     fr_eigensplit,
@@ -41,25 +43,10 @@ from .reps import (
 POINCARE_DEGREE_LIMIT = 10
 
 
-def sym(name, power=1):
-    return LaurentPoly.variable(name, power)
-
-
 def l_factor_denominator(satake, sign=1):
     """det(1 - x r(class)) as a Laurent polynomial in x and the class."""
     m = r_matrix(satake, sign=sign)
-    x = sym("x")
-    shifted = RingMatrix(
-        [
-            [
-                (1 - x * m[i, j]) if i == j else (-(x * m[i, j]))
-                for j in range(8)
-            ]
-            for i in range(8)
-        ]
-    )
-    d = shifted.det()
-    return d if isinstance(d, LaurentPoly) else LaurentPoly.constant(d)
+    return (RingMatrix.identity(8) - m.scale(sym("x"))).det()
 
 
 def local_l_factor(satake, bound, sign=1):
@@ -134,20 +121,17 @@ def inner_integral(vc, bound):
     return TruncatedSeries(poly, {"x"}, bound)
 
 
-def adjoint_character():
-    return schur_char(1, 1)
-
-
-def poincare_oracle(bound, limit=POINCARE_DEGREE_LIMIT):
+def poincare_oracle(bound):
     """Brute-force symmetric-algebra decomposition against the six-factor
     closed form, coefficient-by-coefficient to X-degree `bound`."""
-    if bound > limit:
+    if bound > POINCARE_DEGREE_LIMIT:
         raise ValueError(
-            f"degree {bound} exceeds the configured maximum {limit}"
+            f"degree {bound} exceeds the configured maximum "
+            f"{POINCARE_DEGREE_LIMIT}"
         )
     report = VerificationReport("poincare", {"degree": bound})
     t1, t2, x = sym("T1"), sym("T2"), sym("X")
-    base = adjoint_character()
+    base = schur_char(1, 1)  # the adjoint character
     lhs = LaurentPoly.zero()
     table = {}
     for k in range(bound + 1):
@@ -201,22 +185,32 @@ def _first_series_mismatch(lhs, rhs):
     return f"series degree {degree}, monomial {mono or '1'}"
 
 
-def split_identity_lattice_sum(bound, t1name="T1", t2name="T2", xname="X"):
+def lattice_sum(xname, bound, pairs, weight):
+    """Sum over (m1, m2) in `pairs` of x^max (1 + x + ... + x^min) times
+    weight(m1, m2), truncated at x-degree `bound`; `weight` is only called
+    for pairs that contribute below the bound."""
+    acc = LaurentPoly.zero()
+    for m1, m2 in pairs:
+        lo, hi = min(m1, m2), max(m1, m2)
+        if hi <= bound:
+            xpart = geometric_sum(xname, hi, min(hi + lo, bound))
+            acc = acc + xpart * weight(m1, m2)
+    return acc
+
+
+def _congruent_pairs(bound):
+    """(m1, m2) in [0, bound]^2 with 3 | (m1 - m2), m1 outermost."""
+    r = range(bound + 1)
+    return [(m1, m2) for m1 in r for m2 in r if (m1 - m2) % 3 == 0]
+
+
+def split_identity_lattice_sum(bound):
     """Sum over m1, m2 >= 0 with 3 | (m1 - m2) of
     X^max (1 + X + ... + X^min) T1^m1 T2^m2, truncated at X-degree bound."""
-    acc = LaurentPoly.zero()
-    for m1 in range(bound + 1):
-        for m2 in range(bound + 1):
-            if (m1 - m2) % 3 != 0 or max(m1, m2) > bound:
-                continue
-            lo, hi = min(m1, m2), max(m1, m2)
-            xpart = LaurentPoly.zero()
-            for j in range(lo + 1):
-                if hi + j > bound:
-                    break
-                xpart = xpart + sym(xname, hi + j)
-            acc = acc + xpart * LaurentPoly.monomial(1, {t1name: m1, t2name: m2})
-    return acc
+    return lattice_sum(
+        "X", bound, _congruent_pairs(bound),
+        lambda m1, m2: LaurentPoly.monomial(1, {"T1": m1, "T2": m2}),
+    )
 
 
 def split_identity_check(bound):
@@ -260,14 +254,9 @@ def nonsplit_identity_check(bound):
                 )
     a = TruncatedSeries(double_sum, {"X"}, bound)
     b = series_expand(1, (1 - x ** 3) * (1 - t * x) * (1 - t * x ** 2), {"X"}, bound)
-    single = LaurentPoly.zero()
-    for m in range(bound + 1):
-        xpart = LaurentPoly.zero()
-        for j in range(m + 1):
-            if m + j > bound:
-                break
-            xpart = xpart + sym("X", m + j)
-        single = single + xpart * t ** m
+    single = lattice_sum(
+        "X", bound, [(m, m) for m in range(bound + 1)], lambda m, _: t ** m
+    )
     c = TruncatedSeries(single, {"X"}, bound) * series_expand(
         1, 1 - x ** 3, {"X"}, bound
     )
@@ -302,32 +291,16 @@ def unramified_lhs(satake, bound):
     q_inv = sym("q", -1)
     x = sym("x")
     if isinstance(satake, SplitClass):
-        acc = LaurentPoly.zero()
-        for m1 in range(bound + 1):
-            for m2 in range(bound + 1):
-                if (m1 - m2) % 3 != 0:
-                    continue
-                lo, hi = min(m1, m2), max(m1, m2)
-                xpart = LaurentPoly.zero()
-                for j in range(lo + 1):
-                    if hi + j > bound:
-                        break
-                    xpart = xpart + sym("x", hi + j)
-                if xpart.is_zero():
-                    continue
-                acc = acc + xpart * schur_char(m1, m2, satake.alpha1, satake.alpha2)
+        acc = lattice_sum(
+            "x", bound, _congruent_pairs(bound),
+            lambda m1, m2: schur_char(m1, m2, satake.alpha1, satake.alpha2),
+        )
     elif isinstance(satake, NonSplitClass):
         z = satake.mu * satake.mu
-        acc = LaurentPoly.zero()
-        for m in range(bound + 1):
-            xpart = LaurentPoly.zero()
-            for j in range(m + 1):
-                if m + j > bound:
-                    break
-                xpart = xpart + sym("x", m + j)
-            if xpart.is_zero():
-                continue
-            acc = acc + xpart * sl2_char(m, z)
+        acc = lattice_sum(
+            "x", bound, [(m, m) for m in range(bound + 1)],
+            lambda m, _: sl2_char(m, z),
+        )
     else:
         raise TypeError(f"not a Satake class: {satake!r}")
     series = TruncatedSeries(acc, {"x"}, bound)
@@ -477,8 +450,6 @@ def verify_lfactor(case="nonsplit"):
         satake = SplitClass.symbolic()
         den = l_factor_denominator(satake)
         x = sym("x")
-        from .reps import adjoint_weights
-
         product = LaurentPoly.one()
         for w in adjoint_weights():
             product = product * (1 - w * x)
@@ -505,15 +476,15 @@ def verify_lfactor(case="nonsplit"):
     return report
 
 
-def verify_identities(bound, poincare_bound=None):
-    """The three power-series identity suites."""
-    if poincare_bound is None:
-        poincare_bound = min(bound, POINCARE_DEGREE_LIMIT)
+def verify_identities(bound):
+    """The three power-series identity suites (the Poincare oracle capped
+    at POINCARE_DEGREE_LIMIT)."""
+    oracle_bound = min(bound, POINCARE_DEGREE_LIMIT)
     return merge_reports(
         "identities",
-        {"degree": bound, "poincare_degree": poincare_bound},
+        {"degree": bound, "poincare_degree": oracle_bound},
         [
-            ("poincare", poincare_oracle(poincare_bound)),
+            ("poincare", poincare_oracle(oracle_bound)),
             ("split-identity", split_identity_check(bound)),
             ("nonsplit-identity", nonsplit_identity_check(bound)),
         ],

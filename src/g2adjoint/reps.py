@@ -21,11 +21,9 @@ from .algebra import (
     LaurentPoly,
     RingMatrix,
     exact_div_difference,
+    is_zero,
+    sym,
 )
-
-
-def sym(name, power=1):
-    return LaurentPoly.variable(name, power)
 
 
 @dataclass(frozen=True)
@@ -91,19 +89,13 @@ ADJOINT_BASIS = (
     _e(1, 1) - _e(2, 2),   # H2
 )
 
-J3 = RingMatrix([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
-
 
 def adjoint_coordinates(m):
     """Coordinates of a traceless 3x3 matrix in ADJOINT_BASIS."""
     trace = m[0, 0] + m[1, 1] + m[2, 2]
-    if not _zero(trace):
+    if not is_zero(trace):
         raise ValueError("matrix is not traceless")
     return [m[0, 1], m[0, 2], m[1, 0], m[1, 2], m[2, 0], m[2, 1], m[0, 0], -m[2, 2]]
-
-
-def _zero(x):
-    return x.is_zero() if isinstance(x, LaurentPoly) else x == 0
 
 
 def other_transpose(m):
@@ -125,24 +117,26 @@ def adjugate3(m):
     return RingMatrix([[c(j, i) for j in range(3)] for i in range(3)])
 
 
+def _adjoint_action(f):
+    """8x8 matrix of the linear map f on ADJOINT_BASIS (images as columns)."""
+    cols = [adjoint_coordinates(f(b)) for b in ADJOINT_BASIS]
+    return RingMatrix(zip(*cols))
+
+
 def conjugation_matrix(g, g_inv):
     """8x8 matrix of X -> g X g_inv on ADJOINT_BASIS."""
-    cols = [adjoint_coordinates(g * b * g_inv) for b in ADJOINT_BASIS]
-    return RingMatrix([[cols[j][i] for j in range(8)] for i in range(8)])
+    return _adjoint_action(lambda b: g * b * g_inv)
 
 
 def conjugation_adjugate_matrix(g):
     """det(g) * r(g): the denominator-free matrix of X -> g X adj(g)."""
-    adj = adjugate3(g)
-    cols = [adjoint_coordinates(g * b * adj) for b in ADJOINT_BASIS]
-    return RingMatrix([[cols[j][i] for j in range(8)] for i in range(8)])
+    return conjugation_matrix(g, adjugate3(g))
 
 
 def frobenius_matrix(sign=1):
     """r(Fr): the involution X -> _tX on ADJOINT_BASIS (sign=-1 gives the
     twisted variant r'(Fr) = -r(Fr))."""
-    cols = [adjoint_coordinates(other_transpose(b).scale(sign)) for b in ADJOINT_BASIS]
-    return RingMatrix([[cols[j][i] for j in range(8)] for i in range(8)])
+    return _adjoint_action(lambda b: other_transpose(b).scale(sign))
 
 
 def r_matrix(satake, sign=1):
@@ -292,8 +286,10 @@ def fr_eigensplit(mu=None):
     mu = sym("mu") if mu is None else mu
     fr = frobenius_matrix()
     torus = r_matrix(SplitClass(mu, LaurentPoly.one()))
-    assert fr * fr == RingMatrix.identity(8)
-    assert torus * fr == fr * torus
+    if fr * fr != RingMatrix.identity(8):
+        raise ArithmeticError("the Frobenius matrix is not an involution")
+    if torus * fr != fr * torus:
+        raise ArithmeticError("the torus does not commute with Frobenius")
     results = []
     for sign in (1, -1):
         projector = [

@@ -279,6 +279,22 @@ def test_zero_and_unit_edge_cases():
     assert (v("a") == "a") is False
 
 
+@pytest.mark.parametrize(
+    "poly, scalar",
+    [
+        (LaurentPoly.constant(0), 0),
+        (LaurentPoly.constant(1), 1),
+        (LaurentPoly.constant(Fraction(1, 2)), Fraction(1, 2)),
+        (RingMatrix([[LaurentPoly.constant(1)]]), RingMatrix([[1]])),
+    ],
+    ids=["0", "1", "1/2", "1x1-matrix"],
+)
+def test_equal_values_hash_equal(poly, scalar):
+    assert poly == scalar
+    assert hash(poly) == hash(scalar)
+    assert len({poly, scalar}) == 1
+
+
 def test_substitution_of_absent_variable_is_identity():
     p = v("a") + 1
     assert p.subs({"zz": 7}) is p

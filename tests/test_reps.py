@@ -187,6 +187,27 @@ def test_fr_eigensplit_dimensions_and_values():
     assert minus1 == [LaurentPoly.one()] * 3
 
 
+@pytest.mark.parametrize(
+    "fake_frobenius",
+    [
+        RingMatrix.identity(8).scale(2),  # not an involution
+        # swaps E12 and E13, whose torus weights differ
+        RingMatrix(
+            [[1 if {i, j} == {0, 1} or (i == j > 1) else 0 for j in range(8)]
+             for i in range(8)]
+        ),
+    ],
+    ids=["not-involution", "not-commuting"],
+)
+def test_fr_eigensplit_refuses_bad_frobenius(monkeypatch, fake_frobenius):
+    # a raise, not an assert: `python -O` must not turn this into a split
+    from g2adjoint import reps
+
+    monkeypatch.setattr(reps, "frobenius_matrix", lambda sign=1: fake_frobenius)
+    with pytest.raises(ArithmeticError):
+        fr_eigensplit()
+
+
 def test_sym_power_basics():
     base = schur_char(1, 1)
     assert sym_power_char(base, 0) == 1
