@@ -480,7 +480,9 @@ class TruncatedSeries:
         return self.poly == other.poly
 
     def __hash__(self):
-        return hash((self.poly, self.series_vars, self.bound))
+        # equality compares only the polynomials, so a series equal to a
+        # constant hashes like that constant
+        return hash(self.poly)
 
     def slices(self):
         """Map from series-degree to the (full) slice polynomial."""
@@ -596,9 +598,14 @@ class RingMatrix:
     def is_square(self):
         return self.rows == self.cols
 
+    def _check_same_shape(self, other):
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("dimension mismatch")
+
     def __add__(self, other):
         if not isinstance(other, RingMatrix):
             return NotImplemented
+        self._check_same_shape(other)
         return RingMatrix(
             [
                 [a + b for a, b in zip(r1, r2)]
@@ -609,6 +616,7 @@ class RingMatrix:
     def __sub__(self, other):
         if not isinstance(other, RingMatrix):
             return NotImplemented
+        self._check_same_shape(other)
         return RingMatrix(
             [
                 [a - b for a, b in zip(r1, r2)]

@@ -1,14 +1,18 @@
 """Finite-field evidence for the double-coset combinatorics.
 
-Enumerates the G2(F_q)-orbit of v_rho by breadth-first closure under the
-root-subgroup generators, checks it against the norm-2*rho sphere in V0
-(counted independently), and splits it into parabolic orbits separated by
-the v3-block predicate.  This is a desk-scale analogue over F_q of the
-corresponding statement over a number field, and the report labels it as
-such.
+Enumerates the G2(F_q)-orbit of v_rho by breadth-first closure under a
+small generating set (x_{+-alpha1}(1), x_{+-alpha2}(1)), checks it against
+the norm-2*rho sphere in V0 (counted independently), and splits it into
+parabolic orbits separated by the v3-block predicate.  This is a
+desk-scale analogue over F_q of the corresponding statement over a number
+field, and the report labels it as such.
 
-Vectors are numpy int64 rows mod p; set membership uses a base-p encoded
-bitmap (p^8 cells), which makes the closure exactly order-independent.
+Vectors are numpy int64 rows mod p.  The visited set is a sorted array of
+int64 keys (the base-p digits of a vector, v0 most significant), so memory
+grows with the orbit, the closure is exactly order-independent and the
+sorted keys decode to lexicographically sorted vectors.  A (q, rho) whose
+norm sphere, an a priori bound on the orbit, exceeds ORBIT_CAP is refused
+before any BFS.
 """
 
 from __future__ import annotations
@@ -93,11 +97,24 @@ def _is_prime(n):
     return True
 
 
-def _validate(q, rho):
-    if not _is_prime(q):
-        raise ValueError(f"{q} is not prime")
-    if q in (2, 3) or rho % q == 0:
-        raise ValueError("need q coprime to 6*rho")
+def _validate(q, rho, cap=ORBIT_CAP):
+    """Refuse a (q, rho) the orbit suite cannot run, before any BFS."""
+    # The norm sphere bounds the orbit.  It has q^6 +- q^3 > q^6 / 2 points
+    # and sphere_count takes q^2 steps, so a q with q^6 > 2 cap is refused
+    # on the estimate q^6 before it is counted or tested for primality.
+    size = q ** 6
+    if size <= 2 * cap:
+        if not _is_prime(q):
+            raise ValueError(f"{q} is not prime")
+        if q in (2, 3) or rho % q == 0:
+            raise ValueError("need q coprime to 6*rho")
+        size = sphere_count(q, rho % q)
+    if size > cap:
+        raise ValueError(
+            f"the orbit may fill the norm sphere of about {size} vectors, "
+            f"over the cap of {cap}; its int64 keys alone would take "
+            f"{8 * size / 2 ** 20:.0f} MB"
+        )
 
 
 def group_generators(q, which="full"):
@@ -120,6 +137,30 @@ def group_generators(q, which="full"):
     return gens
 
 
+def _least_primitive_root(q):
+    return next(
+        g for g in range(2, q) if len({pow(g, k, q) for k in range(1, q)}) == q - 1
+    )
+
+
+def bfs_generators(q, which="full"):
+    """The small generating sets every BFS uses; each matrix is also in
+    group_generators(q, which).
+
+    full: x_a(1), x_g(1), x_b(1), x_l(1), that is x_{+-alpha1}(1) and
+    x_{+-alpha2}(1), which generate G2(F_q) (Steinberg, Lectures on
+    Chevalley Groups).  parabolic: x_a(1), x_g(1), x_b(1) and the torus
+    elements h_a(g), h_b(g), g the least primitive root mod q.
+    """
+    x = [one_param_mod(param, 1, q) for param in ("a", "g", "b")]
+    if which == "full":
+        return x + [one_param_mod("l", 1, q)]
+    if which == "parabolic":
+        g = _least_primitive_root(q)
+        return x + [coroot_mod(param, g, q) for param in SIMPLE_PARAMS]
+    raise ValueError(f"unknown generator set {which!r}")
+
+
 def _j_matrix():
     return np.fliplr(np.eye(8, dtype=np.int64))
 
@@ -133,52 +174,59 @@ def _trilinear_dense():
 
 def generator_invariants_hold(gens, q):
     """Every generator preserves J, the trilinear form, and v0."""
+    g = np.stack(gens)
     j = _j_matrix()
-    t = _trilinear_dense()
     v0 = np.array([0, 0, 0, 1, -1, 0, 0, 0], dtype=np.int64) % q
-    for g in gens:
-        if ((g @ j % q) @ g.T % q != j).any():
-            return False
-        if (g @ v0 % q != v0).any():
-            return False
-        pulled = np.einsum("lmn,li,mj,nk->ijk", t, g, g, g) % q
-        if (pulled != t % q).any():
-            return False
-    return True
+    preserves_j = (g @ j % q @ g.transpose(0, 2, 1) % q == j).all()
+    fixes_v0 = (g @ v0 % q == v0).all()
+    # T(g x, g y, g z) for all generators at once, one index at a time
+    t = _trilinear_dense()
+    pulled = np.einsum("lmn,gli->gimn", t, g) % q
+    pulled = np.einsum("gimn,gmj->gijn", pulled, g) % q
+    pulled = np.einsum("gijn,gnk->gijk", pulled, g) % q
+    return bool(preserves_j and fixes_v0 and (pulled == t % q).all())
+
+
+def _decode(keys, p):
+    """Vectors (int64 rows) of base-p keys, v0 the most significant digit."""
+    out = np.empty((len(keys), 8), dtype=np.int64)
+    for i in range(7, -1, -1):
+        keys, out[:, i] = np.divmod(keys, p)
+    return out
+
+
+def _unique_sorted(keys):
+    """Sorted distinct values.  np.unique took 70 times as long as np.sort
+    on 4M int64 keys (numpy 2.4)."""
+    keys = np.sort(keys)
+    keep = np.ones(len(keys), dtype=bool)
+    keep[1:] = keys[1:] != keys[:-1]
+    return keys[keep]
 
 
 def orbit(start, gens, p, cap=ORBIT_CAP):
     """Closure of {start} under left multiplication by gens, as an array
-    of vectors (lexicographically sorted, hence order-independent)."""
-    pows = (p ** np.arange(8)).astype(np.int64)
-    visited = np.zeros(p ** 8, dtype=bool)
+    of vectors (lexicographically sorted, hence order-independent).
+
+    The visited set is a sorted array of int64 keys (so p^8 < 2^63), and
+    memory grows with the orbit; more than `cap` vectors raise RuntimeError.
+    """
+    pows = p ** np.arange(7, -1, -1, dtype=np.int64)
     start = np.asarray(start, dtype=np.int64).reshape(1, 8) % p
-    visited[int((start @ pows)[0])] = True
+    seen = start @ pows
     frontier = start
-    collected = [start]
-    total = 1
     while len(frontier):
         parts = []
         for g in gens:
-            img = frontier @ g.T % p
-            keys = img @ pows
-            fresh = ~visited[keys]
-            if not fresh.any():
-                continue
-            keys = keys[fresh]
-            img = img[fresh]
-            keys, first = np.unique(keys, return_index=True)
-            img = img[first]
-            visited[keys] = True
-            parts.append(img)
-            total += len(img)
-            if total > cap:
-                raise RuntimeError(f"orbit exceeded cap {cap}")
-        frontier = np.concatenate(parts) if parts else np.empty((0, 8), np.int64)
-        if len(frontier):
-            collected.append(frontier)
-    out = np.concatenate(collected)
-    return out[np.lexsort(out.T[::-1])]
+            keys = _unique_sorted(frontier @ g.T % p @ pows)
+            pos = np.searchsorted(seen, keys).clip(max=len(seen) - 1)
+            parts.append(keys[seen[pos] != keys])
+        fresh = _unique_sorted(np.concatenate(parts))
+        if len(seen) + len(fresh) > cap:
+            raise RuntimeError(f"orbit exceeded cap {cap}")
+        seen = np.insert(seen, np.searchsorted(seen, fresh), fresh)
+        frontier = _decode(fresh, p)
+    return _decode(seen, p)
 
 
 def _norms(vectors, p):
@@ -215,7 +263,7 @@ def double_coset_check(q, rho, cap=ORBIT_CAP):
     """Desk-scale analogue of the two-element double-coset statement:
     the G2(F_q)-orbit of v_rho meets exactly two P(F_q)-orbits, separated
     by vanishing of the last two coordinates."""
-    _validate(q, rho)
+    _validate(q, rho, cap)
     square = is_square_mod(rho, q)
     report = VerificationReport(
         "orbits",
@@ -235,8 +283,19 @@ def double_coset_check(q, rho, cap=ORBIT_CAP):
         f"{len(full)} generators fix v0 and preserve both forms",
     )
 
+    # Every BFS runs on the small sets of bfs_generators, which are drawn
+    # from the lists checked here and below, so they generate subgroups
+    # H <= G2(F_q) and H_P <= P(F_q).  The H-orbit lies in the G-orbit,
+    # which lies in the norm sphere; orbit-equals-sphere then forces all
+    # three to be equal.  Each H_P-orbit equals its part of the partition,
+    # and the predicate is P-stable (checked on all of P's generators), so
+    # the P-orbit equals the part too.  A set that generates too little
+    # can thus make a check FAIL, never PASS falsely.
+    gens = bfs_generators(q, "full")
+    parabolic_gens = bfs_generators(q, "parabolic")
+
     v_rho = np.array([0, 0, 1, 0, 0, rho % q, 0, 0], dtype=np.int64)
-    orb = orbit(v_rho, full, q, cap)
+    orb = orbit(v_rho, gens, q, cap)
     size = len(orb)
 
     norms = _norms(orb, q)
@@ -278,11 +337,12 @@ def double_coset_check(q, rho, cap=ORBIT_CAP):
         "parabolic generators have zero lower-left block",
     )
 
-    orbit0 = orbit(v_rho, parabolic, q, cap)
-    rep1 = part1[0]
-    orbit1 = orbit(rep1, parabolic, q, cap)
+    orbit0 = orbit(v_rho, parabolic_gens, q, cap)
+    # part1 is empty only when the BFS missed the sphere; then FAIL, not crash
+    orbit1 = orbit(part1[0], parabolic_gens, q, cap) if len(part1) else part1
     two_orbits = (
-        len(orbit0) == len(part0)
+        len(part1) > 0
+        and len(orbit0) == len(part0)
         and (orbit0 == part0).all()
         and len(orbit1) == len(part1)
         and (orbit1 == part1).all()
@@ -297,10 +357,12 @@ def double_coset_check(q, rho, cap=ORBIT_CAP):
         f"{len(part0)}, {len(part1)}",
     )
 
-    reversed_orb = orbit(v_rho, list(reversed(full)), q, cap)
+    # each is nearly the whole orbit (about 300 MB at q=13)
+    del part1, orbit1
+    reversed_orb = orbit(v_rho, gens[::-1], q, cap)
     report.check(
         "orbit-is-order-independent",
-        (reversed_orb == orb).all(),
+        len(reversed_orb) == size and (reversed_orb == orb).all(),
         "reversed generator discipline yields the identical set",
     )
     return report

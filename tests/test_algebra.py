@@ -286,8 +286,9 @@ def test_zero_and_unit_edge_cases():
         (LaurentPoly.constant(1), 1),
         (LaurentPoly.constant(Fraction(1, 2)), Fraction(1, 2)),
         (RingMatrix([[LaurentPoly.constant(1)]]), RingMatrix([[1]])),
+        (TruncatedSeries(1, {"x"}, 3), 1),
     ],
-    ids=["0", "1", "1/2", "1x1-matrix"],
+    ids=["0", "1", "1/2", "1x1-matrix", "series"],
 )
 def test_equal_values_hash_equal(poly, scalar):
     assert poly == scalar
@@ -326,6 +327,15 @@ def test_matrix_shape_validation():
         RingMatrix([[1, 2]]) * RingMatrix([[1, 2]])
     with pytest.raises(ValueError):
         RingMatrix([[1, 2]]).apply([1, 2, 3])
+
+
+def test_matrix_add_sub_reject_shape_mismatch():
+    wide = RingMatrix([[1, 2, 3], [4, 5, 6]])
+    with pytest.raises(ValueError):
+        wide - RingMatrix.identity(3)
+    with pytest.raises(ValueError):
+        RingMatrix.identity(2) + wide
+    assert wide + wide == wide.scale(2)
 
 
 def test_anti_transpose_is_involution():

@@ -36,6 +36,7 @@ def test_unknown_flag_exits_2():
         ["verify", "orbits", "--q", "4"],
         ["verify", "orbits", "--q", "3"],
         ["verify", "orbits", "--rho", "0"],
+        ["verify", "orbits", "--q", "17"],
         ["verify", "all", "--q", "7", "--rho", "14"],
     ],
     ids=lambda argv: " ".join(argv[1:]),

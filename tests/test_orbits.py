@@ -7,6 +7,7 @@ import pytest
 from g2adjoint.algebra import LaurentPoly
 from g2adjoint.g2model import ROOT_PARAMS, one_param
 from g2adjoint.orbits import (
+    bfs_generators,
     companion_rho,
     coroot_mod,
     double_coset_check,
@@ -116,3 +117,94 @@ def test_verify_orbits_runs_both_classes():
     names = [c.name for c in report.checks]
     assert any(n.startswith("rho=2-non-square/") for n in names)
     assert any(n.startswith("rho=4-square/") for n in names)
+
+
+def _contains(arrays, matrix):
+    return any(np.array_equal(a, matrix) for a in arrays)
+
+
+def _reference_orbit(start, gens, p):
+    """Plain-Python BFS over a set of tuples, sorted lexicographically."""
+    start = tuple(int(x) % p for x in start)
+    seen, frontier = {start}, [start]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for g in gens:
+                w = tuple(int(x) for x in g @ np.array(v) % p)
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return np.array(sorted(seen), dtype=np.int64)
+
+
+def _v_rho(rho, q):
+    return np.array([0, 0, 1, 0, 0, rho % q, 0, 0], dtype=np.int64)
+
+
+@pytest.mark.parametrize("which", ["full", "parabolic"])
+def test_bfs_generators_are_drawn_from_group_generators(which):
+    for q in (5, 7):
+        small = bfs_generators(q, which)
+        listed = group_generators(q, which)
+        assert len(small) == (4 if which == "full" else 5)
+        assert all(_contains(listed, g) for g in small), (q, which)
+
+
+def _part1_representative(orb):
+    """First vector of the v3 != 0 part, as double_coset_check picks it."""
+    return orb[(orb[:, 6] != 0) | (orb[:, 7] != 0)][0]
+
+
+@pytest.mark.parametrize("rho", [2, 4], ids=["non-square", "square"])
+def test_small_generating_sets_give_the_full_orbits(rho):
+    q = 5
+    v_rho = _v_rho(rho, q)
+    small = bfs_generators(q, "full")
+    orb = orbit(v_rho, small, q)
+    assert np.array_equal(orb, _reference_orbit(v_rho, small, q))
+    assert np.array_equal(orb, orbit(v_rho, group_generators(q, "full"), q))
+    parabolic = group_generators(q, "parabolic")
+    for start in (v_rho, _part1_representative(orb)):
+        got = orbit(start, bfs_generators(q, "parabolic"), q)
+        assert np.array_equal(got, orbit(start, parabolic, q))
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_parabolic_orbit_sizes_match_closed_forms(q):
+    gens = bfs_generators(q, "parabolic")
+    for rho in (1, companion_rho(q, 1)):
+        v_rho = _v_rho(rho, q)
+        sign = 1 if is_square_mod(rho, q) else -1
+        orbit0 = orbit(v_rho, gens, q)
+        assert len(orbit0) == q ** 3 * (q + sign), (q, rho)
+        assert not orbit0[:, 6:].any()
+        orb = orbit(v_rho, bfs_generators(q, "full"), q)
+        orbit1 = orbit(_part1_representative(orb), gens, q)
+        assert len(orbit1) == q ** 4 * (q ** 2 - 1), (q, rho)
+
+
+def test_sphere_over_cap_is_refused_before_any_bfs(monkeypatch):
+    from g2adjoint import orbits
+
+    # q=5, rho=2: the sphere has 5^6 - 5^3 = 15500 vectors
+    monkeypatch.setattr(orbits, "orbit", None)
+    with pytest.raises(ValueError, match="cap of 15499"):
+        double_coset_check(5, 2, cap=15499)
+    with pytest.raises(ValueError, match="cap"):
+        double_coset_check(17, 2)
+    monkeypatch.undo()
+    assert double_coset_check(5, 2, cap=15500).passed
+
+
+def test_too_small_generating_sets_fail_the_report(monkeypatch):
+    from g2adjoint import orbits
+
+    # the first three of each set generate too little: the report must
+    # FAIL, neither crash nor PASS
+    real = orbits.bfs_generators
+    monkeypatch.setattr(orbits, "bfs_generators", lambda q, which: real(q, which)[:3])
+    report = double_coset_check(5, 2)
+    failed = {c.name for c in report.checks if c.status == "fail"}
+    assert {"orbit-equals-sphere", "exactly-two-parabolic-orbits"} <= failed
