@@ -11,6 +11,7 @@ Scalar coefficients are `fractions.Fraction` throughout.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add as _add
 
 # Exact rational scalars: always reduced, positive denominator, structural
 # equality.  The stdlib type satisfies the whole contract.
@@ -42,27 +43,37 @@ class LaurentPoly:
 
     def __init__(self, variables=(), terms=None):
         variables = tuple(variables)
-        terms = {} if terms is None else terms
         clean = {}
-        used = [False] * len(variables)
-        for exps, coeff in terms.items():
+        for exps, coeff in ({} if terms is None else terms).items():
             coeff = _as_fraction(coeff)
-            if coeff == 0:
+            if not coeff:
                 continue
             exps = tuple(exps)
             if len(exps) != len(variables):
                 raise ValueError("exponent vector length mismatch")
-            clean[exps] = clean.get(exps, Fraction(0)) + coeff
-            for i, e in enumerate(exps):
-                if e:
-                    used[i] = True
-        clean = {e: c for e, c in clean.items() if c != 0}
-        keep = [i for i, u in enumerate(used) if u]
-        order = sorted(keep, key=lambda i: variables[i])
-        object.__setattr__(self, "variables", tuple(variables[i] for i in order))
-        object.__setattr__(
-            self, "terms", {tuple(e[i] for i in order): c for e, c in clean.items()}
-        )
+            _accumulate(clean, exps, coeff)
+        order = sorted(range(len(variables)), key=variables.__getitem__)
+        if order != list(range(len(variables))):
+            variables = tuple(variables[i] for i in order)
+            clean = {tuple(e[i] for i in order): c for e, c in clean.items()}
+        variables, clean = _prune(variables, clean)
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _from_normal(cls, variables, terms):
+        """Wrap an already normal `terms` map without re-normalizing it.
+
+        The caller guarantees that `variables` is sorted, that every
+        exponent vector is aligned with it and that every coefficient is a
+        nonzero Fraction.  Only variables that no term uses are dropped
+        (as after x * x^-1).
+        """
+        variables, terms = _prune(variables, terms)
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "variables", variables)
+        object.__setattr__(poly, "terms", terms)
+        return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
@@ -72,13 +83,13 @@ class LaurentPoly:
     @classmethod
     def constant(cls, value):
         value = _as_fraction(value)
-        return cls((), {(): value} if value else {})
+        return cls._from_normal((), {(): value} if value else {})
 
     @classmethod
     def variable(cls, name, power=1):
         if power == 0:
             return cls.constant(1)
-        return cls((name,), {(power,): Fraction(1)})
+        return cls._from_normal((name,), {(power,): Fraction(1)})
 
     @classmethod
     def monomial(cls, coeff, exponents):
@@ -116,7 +127,9 @@ class LaurentPoly:
         if len(self.terms) != 1:
             raise NonInvertibleError(f"not a Laurent unit: {self}")
         (exps, coeff), = self.terms.items()
-        return LaurentPoly(self.variables, {tuple(-e for e in exps): 1 / coeff})
+        return LaurentPoly._from_normal(
+            self.variables, {tuple(-e for e in exps): 1 / coeff}
+        )
 
     def min_exponent(self, name):
         """Smallest exponent of `name` over all terms (0 if absent or zero)."""
@@ -149,6 +162,8 @@ class LaurentPoly:
         names = tuple(sorted(set(self.variables) | set(other.variables)))
 
         def remap(poly):
+            if poly.variables == names:
+                return poly.terms
             pos = [names.index(v) for v in poly.variables]
             out = {}
             for exps, coeff in poly.terms.items():
@@ -172,15 +187,19 @@ class LaurentPoly:
         if other is None:
             return NotImplemented
         names, a, b = self._align(other)
+        if len(a) < len(b):
+            a, b = b, a
         out = dict(a)
         for exps, coeff in b.items():
-            out[exps] = out.get(exps, Fraction(0)) + coeff
-        return LaurentPoly(names, out)
+            _accumulate(out, exps, coeff)
+        return LaurentPoly._from_normal(names, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly(self.variables, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._from_normal(
+            self.variables, {e: -c for e, c in self.terms.items()}
+        )
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -204,9 +223,13 @@ class LaurentPoly:
         out = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():
-                key = tuple(x + y for x, y in zip(e1, e2))
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return LaurentPoly(names, out)
+                key = tuple(map(_add, e1, e2))
+                total = out.get(key)
+                out[key] = c1 * c2 if total is None else total + c1 * c2
+        # with a single term in `a` every key is hit once, so none cancels
+        if len(a) > 1:
+            out = {e: c for e, c in out.items() if c}
+        return LaurentPoly._from_normal(names, out)
 
     __rmul__ = __mul__
 
@@ -215,6 +238,11 @@ class LaurentPoly:
             return NotImplemented
         if power < 0:
             return self.unit_inverse() ** (-power)
+        if len(self.terms) == 1:
+            (exps, coeff), = self.terms.items()
+            return LaurentPoly._from_normal(
+                self.variables, {tuple(power * e for e in exps): coeff ** power}
+            )
         result = LaurentPoly.one()
         base = self
         while power:
@@ -239,7 +267,7 @@ class LaurentPoly:
     # -- substitution ------------------------------------------------------
 
     def subs(self, mapping):
-        """Substitute variables by scalars or polynomials.
+        """Substitute variables by scalars or polynomials, simultaneously.
 
         A variable appearing with a negative exponent may only be replaced
         by a Laurent unit (single-term polynomial).
@@ -248,41 +276,73 @@ class LaurentPoly:
             k: v if isinstance(v, LaurentPoly) else LaurentPoly.constant(v)
             for k, v in mapping.items()
         }
-        hit = [v in mapping for v in self.variables]
-        if not any(hit):
+        values = [mapping.get(name) for name in self.variables]
+        if all(value is None for value in values):
             return self
-        result = LaurentPoly.zero()
-        cache = {}
+        kept = {n for n, value in zip(self.variables, values) if value is None}
+        names = tuple(sorted(kept.union(
+            *(value.variables for value in values if value is not None)
+        )))
+        index = {n: i for i, n in enumerate(names)}
+        out = {}
+        powers = {}
+        if all(value is None or value.is_unit() for value in values):
+            # each term maps to one term: name^e moves e times the exponents
+            # of its value's monomial and scales by the value's coefficient^e
+            moves = []
+            for name, value in zip(self.variables, values):
+                if value is None:
+                    moves.append((((index[name], 1),), None))
+                    continue
+                (vexps, vcoeff), = value.terms.items()
+                place = tuple(zip([index[n] for n in value.variables], vexps))
+                moves.append((place, None if vcoeff == 1 else vcoeff))
+            for exps, coeff in self.terms.items():
+                key = [0] * len(names)
+                for i, e in enumerate(exps):
+                    if not e:
+                        continue
+                    place, scale = moves[i]
+                    for p, m in place:
+                        key[p] += m * e
+                    if scale is not None:
+                        power = powers.get((i, e))
+                        if power is None:
+                            power = powers[i, e] = scale ** e
+                        coeff = coeff * power
+                _accumulate(out, tuple(key), coeff)
+            return LaurentPoly._from_normal(names, out)
         for exps, coeff in self.terms.items():
-            residual = {}
+            key = [0] * len(names)
             factor = LaurentPoly.constant(coeff)
             for i, e in enumerate(exps):
-                name = self.variables[i]
-                if not hit[i]:
-                    if e:
-                        residual[name] = e
+                if not e:
                     continue
-                if e == 0:
+                value = values[i]
+                if value is None:
+                    key[index[self.variables[i]]] = e
                     continue
-                key = (name, e)
-                if key not in cache:
-                    value = mapping[name]
+                power = powers.get((i, e))
+                if power is None:
                     if e < 0 and not value.is_unit():
                         raise NonInvertibleError(
-                            f"substituting non-unit for {name}^{e}"
+                            f"substituting non-unit for {self.variables[i]}^{e}"
                         )
-                    cache[key] = value ** e
-                factor = factor * cache[key]
-            if residual:
-                factor = factor * LaurentPoly.monomial(1, residual)
-            result = result + factor
-        return result
+                    power = powers[i, e] = value ** e
+                factor = factor * power
+            place = [index[n] for n in factor.variables]
+            for fexps, fcoeff in factor.terms.items():
+                full = list(key)
+                for p, e in zip(place, fexps):
+                    full[p] += e
+                _accumulate(out, tuple(full), fcoeff)
+        return LaurentPoly._from_normal(names, out)
 
     def scale_exponents(self, factor):
         """The Adams-operation substitution v -> v^factor for every variable."""
         if not isinstance(factor, int) or factor <= 0:
             raise ValueError("exponent scale must be a positive integer")
-        return LaurentPoly(
+        return LaurentPoly._from_normal(
             self.variables,
             {tuple(factor * e for e in exps): c for exps, c in self.terms.items()},
         )
@@ -315,6 +375,33 @@ class LaurentPoly:
 
     def __repr__(self):
         return f"LaurentPoly({self})"
+
+
+def _prune(variables, terms):
+    """(variables, terms) without the variables that no term uses."""
+    if not terms:
+        return (), terms
+    used = [any(column) for column in zip(*terms)]
+    if all(used):
+        return variables, terms
+    keep = [i for i, u in enumerate(used) if u]
+    return (
+        tuple(variables[i] for i in keep),
+        {tuple(e[i] for i in keep): c for e, c in terms.items()},
+    )
+
+
+def _accumulate(terms, exps, coeff):
+    """terms[exps] += coeff, keeping only nonzero coefficients."""
+    total = terms.get(exps)
+    if total is None:
+        terms[exps] = coeff
+        return
+    total += coeff
+    if total:
+        terms[exps] = total
+    else:
+        del terms[exps]
 
 
 def exact_div_difference(poly, va, vb):
@@ -408,7 +495,9 @@ class TruncatedSeries:
                 )
             if sum(exps[i] for i in idx) <= bound:
                 kept[exps] = coeff
-        object.__setattr__(self, "poly", LaurentPoly(poly.variables, kept))
+        object.__setattr__(
+            self, "poly", LaurentPoly._from_normal(poly.variables, kept)
+        )
         object.__setattr__(self, "series_vars", series_vars)
         object.__setattr__(self, "bound", bound)
 
@@ -467,9 +556,11 @@ class TruncatedSeries:
             for e2, c2 in b.items():
                 if db[e2] > room:
                     continue
-                key = tuple(x + y for x, y in zip(e1, e2))
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return self._wrap(LaurentPoly(names, out))
+                key = tuple(map(_add, e1, e2))
+                total = out.get(key)
+                out[key] = c1 * c2 if total is None else total + c1 * c2
+        out = {e: c for e, c in out.items() if c}
+        return self._wrap(LaurentPoly._from_normal(names, out))
 
     __rmul__ = __mul__
 

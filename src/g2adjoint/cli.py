@@ -40,6 +40,8 @@ def build_parser():
             "--no-timestamp", action="store_true",
             help="omit the timestamp field from JSON output",
         )
+        # invalid values are reported with this suite's usage line
+        p.set_defaults(usage_error=p.error)
 
     common(suites.add_parser("lie", help="Lie-algebra model identities"))
     common(suites.add_parser("iwasawa", help="torus element and both Iwasawa "
@@ -82,15 +84,15 @@ def build_parser():
     return parser
 
 
-def _check_values(parser, args):
+def _check_values(args):
     """Reject values no suite can run with, as usage errors (exit 2)."""
     if getattr(args, "degree", 1) < 1:
-        parser.error("--degree must be at least 1")
+        args.usage_error("--degree must be at least 1")
     if hasattr(args, "q"):
         try:
             orbits._validate(args.q, args.rho)
         except ValueError as exc:
-            parser.error(f"--q {args.q} --rho {args.rho}: {exc}")
+            args.usage_error(f"--q {args.q} --rho {args.rho}: {exc}")
 
 
 def _by_case(suite, case, verify, **parameters):
@@ -147,9 +149,8 @@ def run(args):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    _check_values(parser, args)
+    args = build_parser().parse_args(argv)
+    _check_values(args)
     return run(args)
 
 

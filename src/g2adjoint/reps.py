@@ -1,7 +1,7 @@
 """Character theory for GL3(C) x Gal(E/F) and the 8-dimensional adjoint
 action on traceless 3x3 matrices.
 
-Satake classes, Schur characters via the bialternant ratio, SL2-type
+Satake classes, Schur characters from Gelfand-Tsetlin patterns, SL2-type
 characters, the matrix of the adjoint representation extended by the
 Frobenius involution X -> J X^t J, the Frobenius eigenspace split, and
 symmetric-power plethysm with its greedy decomposition into irreducible
@@ -15,12 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 
 from .algebra import (
     LaurentPoly,
+    NonInvertibleError,
     RingMatrix,
-    exact_div_difference,
     is_zero,
     sym,
 )
@@ -181,30 +180,32 @@ def schur_char(m1, m2, alpha1=None, alpha2=None):
     """Character of the GL3 irreducible with highest weight
     m1*w1 + m2*w2 at diag(alpha1, alpha2, (alpha1 alpha2)^-1).
 
-    Computed as the Schur polynomial s_(m1+m2, m2, 0) by the bialternant
-    ratio, dividing the alternant exactly by the Vandermonde binomials.
+    Counts the Gelfand-Tsetlin patterns with top row (m1+m2, m2, 0): the
+    pattern with middle row (p, q) and bottom entry r has weight
+    x1^r x2^(p+q-r) x3^(m1+2*m2-p-q).  Explicit alpha1, alpha2 must be
+    Laurent units and are substituted into the symbolic character.
     """
     if m1 < 0 or m2 < 0:
         raise ValueError("highest weight must be dominant")
-    mu = (m1 + m2 + 2, m2 + 1, 0)
-    names = ("x1", "x2", "x3")
-    alternant = LaurentPoly.zero()
-    for perm in permutations(range(3)):
-        sign = 1
-        for x in range(3):
-            for y in range(x + 1, 3):
-                if perm[x] > perm[y]:
-                    sign = -sign
-        term = LaurentPoly.monomial(
-            sign, {names[i]: mu[perm[i]] for i in range(3)}
-        )
-        alternant = alternant + term
-    quotient = exact_div_difference(alternant, "x1", "x2")
-    quotient = exact_div_difference(quotient, "x1", "x3")
-    quotient = exact_div_difference(quotient, "x2", "x3")
+    explicit = alpha1 is not None or alpha2 is not None
     a1 = sym("alpha1") if alpha1 is None else alpha1
     a2 = sym("alpha2") if alpha2 is None else alpha2
-    return quotient.subs({"x1": a1, "x2": a2, "x3": (a1 * a2).unit_inverse()})
+    if explicit and not (a1 * a2).is_unit():
+        raise NonInvertibleError(
+            f"alpha3 = (alpha1 alpha2)^-1 needs Laurent units: {a1}, {a2}"
+        )
+    total = m1 + 2 * m2
+    counts = {}
+    for p in range(m2, m1 + m2 + 1):
+        for q in range(m2 + 1):
+            w3 = total - p - q
+            for r in range(q, p + 1):
+                key = (r - w3, p + q - r - w3)
+                counts[key] = counts.get(key, 0) + 1
+    char = LaurentPoly(("alpha1", "alpha2"), counts)
+    if not explicit:
+        return char
+    return char.subs({"alpha1": a1, "alpha2": a2})
 
 
 def weyl_dimension(m1, m2):

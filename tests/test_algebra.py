@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from g2adjoint.algebra import (
     LaurentPoly,
@@ -70,6 +72,96 @@ def test_ring_axioms_on_random_triples():
         assert p * q == q * p
         assert (p * q) * r == p * (q * r)
         assert p + q == q + p
+
+
+# Property tests: every kernel result is in the normal form the public
+# constructor produces, whichever internal path built it.
+KERNEL = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+NAMES = ("a", "b", "c")
+scalars = st.one_of(
+    st.integers(-3, 3), st.fractions(-5, 5, max_denominator=4)
+)
+nonzero_scalars = scalars.filter(bool)
+
+
+@st.composite
+def polys(draw, names=NAMES, max_terms=5):
+    # variables in any order; coefficients may be 0 or plain ints
+    chosen = draw(st.permutations(names))[: draw(st.integers(0, len(names)))]
+    exps = st.tuples(*[st.integers(-3, 3)] * len(chosen))
+    return LaurentPoly(chosen, draw(st.dictionaries(exps, scalars, max_size=max_terms)))
+
+
+units = st.builds(
+    LaurentPoly.monomial,
+    nonzero_scalars,
+    st.dictionaries(st.sampled_from(NAMES + ("d",)), st.integers(-3, 3)),
+)
+
+
+def assert_normal(p):
+    assert isinstance(p, LaurentPoly)
+    assert type(p.variables) is tuple
+    assert list(p.variables) == sorted(set(p.variables))
+    for i, name in enumerate(p.variables):
+        assert any(e[i] for e in p.terms), f"unused variable {name}"
+    for exps, coeff in p.terms.items():
+        assert type(exps) is tuple and len(exps) == len(p.variables)
+        assert type(coeff) is Fraction and coeff != 0
+    rebuilt = LaurentPoly(p.variables, dict(p.terms))
+    assert p == rebuilt and hash(p) == hash(rebuilt)
+
+
+@KERNEL
+@given(polys(), polys(), scalars)
+def test_arithmetic_results_are_normal(p, q, c):
+    for result in (p + q, p - q, p * q, -p, p + c, c - p, c * p, p * p - p * p):
+        assert_normal(result)
+
+
+@KERNEL
+@given(polys(max_terms=3), st.integers(0, 4), units, st.integers(-3, 3))
+def test_powers_are_normal(p, k, u, j):
+    assert_normal(p ** k)
+    assert_normal(u ** j)
+    assert u ** j * u ** -j == 1
+
+
+@KERNEL
+@given(
+    polys(),
+    st.dictionaries(
+        st.sampled_from(NAMES + ("d",)), st.one_of(polys(max_terms=3), scalars)
+    ),
+)
+def test_substitution_results_are_normal(p, mapping):
+    values = {k: v if isinstance(v, LaurentPoly) else LaurentPoly.constant(v)
+              for k, v in mapping.items()}
+    needs_unit = any(
+        e < 0 and not values[name].is_unit()
+        for exps in p.terms
+        for name, e in zip(p.variables, exps)
+        if name in values
+    )
+    if needs_unit:
+        with pytest.raises(NonInvertibleError):
+            p.subs(mapping)
+    else:
+        assert_normal(p.subs(mapping))
+
+
+@KERNEL
+@given(polys(), st.dictionaries(st.sampled_from(NAMES), units, min_size=1))
+def test_unit_substitution_matches_term_by_term(p, mapping):
+    expected = LaurentPoly.zero()
+    for exps, coeff in p.terms.items():
+        term = LaurentPoly.constant(coeff)
+        for name, e in zip(p.variables, exps):
+            term = term * mapping.get(name, v(name)) ** e
+        expected = expected + term
+    result = p.subs(mapping)
+    assert_normal(result)
+    assert result == expected
 
 
 def test_substitution():

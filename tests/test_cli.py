@@ -46,7 +46,10 @@ def test_invalid_value_exits_2(argv, capsys):
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2
-    assert capsys.readouterr().out == ""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # the usage line of the suite that was invoked, not the top-level one
+    assert captured.err.startswith(f"usage: g2adjoint verify {argv[1]} ")
 
 
 def test_identities_degree_8_passes(capsys):
@@ -158,3 +161,13 @@ def test_verify_all_document(capsys):
     ]
     assert doc["passed"] is True
     assert len(doc["typo_ledger"]) >= 5
+
+
+def test_verify_all_default_degree_document(capsys):
+    # the default degree (12) and rho (2), byte for byte: the sha256 is
+    # perfbench/gate.py's VERIFY_ALL_DIGESTS[("roadmap", 2)]
+    assert main(["verify", "all", "--format", "json", "--no-timestamp"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "f763212d775f270e3f79bc3ff163d6dd82c2d2338ad60745add24a993d8e7999"
+    )

@@ -1,13 +1,19 @@
 """Representation-theory tests: Schur characters against the
-Gelfand-Tsetlin oracle, the adjoint/Frobenius matrices, plethysm, and the
-greedy irreducible decomposition."""
+Gelfand-Tsetlin and bialternant oracles, the adjoint/Frobenius matrices,
+plethysm, and the greedy irreducible decomposition."""
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
-from g2adjoint.algebra import LaurentPoly, RingMatrix
+from g2adjoint.algebra import (
+    LaurentPoly,
+    NonInvertibleError,
+    RingMatrix,
+    exact_div_difference,
+)
 from g2adjoint.reps import (
     ADJOINT_BASIS,
     NonSplitClass,
@@ -47,6 +53,80 @@ def gt_character(m1, m2):
 @pytest.mark.parametrize("m1,m2", [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (3, 2), (2, 4)])
 def test_schur_matches_gelfand_tsetlin_oracle(m1, m2):
     assert schur_char(m1, m2) == gt_character(m1, m2)
+
+
+def bialternant_character(m1, m2, alpha1=None, alpha2=None):
+    """Independent oracle: the Schur polynomial s_(m1+m2, m2, 0) as the
+    alternant divided exactly by the three Vandermonde binomials, at
+    x1, x2, x3 = alpha1, alpha2, (alpha1 alpha2)^-1 (substituted term by
+    term with ** and *, so that LaurentPoly.subs is not used)."""
+    mu = (m1 + m2 + 2, m2 + 1, 0)
+    names = ("x1", "x2", "x3")
+    alternant = LaurentPoly.zero()
+    for perm in permutations(range(3)):
+        sign = 1
+        for x in range(3):
+            for y in range(x + 1, 3):
+                if perm[x] > perm[y]:
+                    sign = -sign
+        term = LaurentPoly.monomial(
+            sign, {names[i]: mu[perm[i]] for i in range(3)}
+        )
+        alternant = alternant + term
+    quotient = exact_div_difference(alternant, "x1", "x2")
+    quotient = exact_div_difference(quotient, "x1", "x3")
+    quotient = exact_div_difference(quotient, "x2", "x3")
+    a1 = sym("alpha1") if alpha1 is None else alpha1
+    a2 = sym("alpha2") if alpha2 is None else alpha2
+    values = {"x1": a1, "x2": a2, "x3": (a1 * a2).unit_inverse()}
+    acc = LaurentPoly.zero()
+    for exps, coeff in quotient.terms.items():
+        term = LaurentPoly.constant(coeff)
+        for name, e in zip(quotient.variables, exps):
+            term = term * values[name] ** e
+        acc = acc + term
+    return acc
+
+
+@pytest.mark.parametrize(
+    "alpha1,alpha2",
+    [
+        (None, None),
+        (sym("alpha1"), sym("alpha2")),
+        (sym("alpha2"), sym("alpha1")),
+        (2 * sym("a", 2), -sym("b", -1)),
+        (-sym("b", -1), 2 * sym("a", 2)),
+        (Fraction(1, 3) * sym("alpha2"), None),
+        (None, 5),
+    ],
+    ids=["default", "symbolic", "symbolic-swap", "units", "units-swap",
+         "alpha1-only", "alpha2-only"],
+)
+def test_schur_matches_bialternant_oracle(alpha1, alpha2):
+    for m1 in range(9):
+        for m2 in range(9 - m1):
+            assert schur_char(m1, m2, alpha1, alpha2) == bialternant_character(
+                m1, m2, alpha1, alpha2
+            ), (m1, m2)
+
+
+@pytest.mark.parametrize("m1,m2", [(0, 0), (1, 0), (2, 3)])
+def test_schur_argument_contract(m1, m2):
+    # alpha3 = (alpha1 alpha2)^-1 needs Laurent units, even for the weight
+    # (0, 0), whose character never mentions them
+    for alpha1, alpha2 in [
+        (1 + sym("a"), sym("b")),
+        (sym("a"), sym("b") - sym("a")),
+        (LaurentPoly.zero(), sym("b")),
+    ]:
+        with pytest.raises(NonInvertibleError):
+            schur_char(m1, m2, alpha1, alpha2)
+    # a negative weight is refused first, whatever the arguments
+    for bad in [(-1 - m1, m2), (m1, -1 - m2)]:
+        with pytest.raises(ValueError):
+            schur_char(*bad)
+        with pytest.raises(ValueError):
+            schur_char(*bad, 1 + sym("a"), sym("b"))
 
 
 @pytest.mark.parametrize("m1,m2", [(0, 0), (1, 1), (2, 0), (3, 1), (4, 4)])
