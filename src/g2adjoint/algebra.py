@@ -5,7 +5,10 @@ power series, and dense matrices over any exact commutative ring.  All
 values are immutable after construction and every operation is a pure
 function, so everything here is safe to share between threads.
 
-Scalar coefficients are `fractions.Fraction` throughout.
+A coefficient is an `int` while it is integral and a `fractions.Fraction`
+(denominator > 1) otherwise; never a `bool` or a `float`.  Every operation
+keeps that canonical form, and inverses go through `Fraction`, so an int
+never meets `/`.
 """
 
 from __future__ import annotations
@@ -22,21 +25,35 @@ class NonInvertibleError(ArithmeticError):
     """An expression that must be a unit of the coefficient ring is not."""
 
 
-def _as_fraction(value):
-    if isinstance(value, Fraction):
+def _scalar(value):
+    """The canonical coefficient of an exact scalar (see the module doc)."""
+    if type(value) is int:
         return value
+    if isinstance(value, Fraction):
+        return _canon(value)
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     raise TypeError(f"cannot coerce {value!r} to an exact rational")
+
+
+def _canon(value):
+    """An integral Fraction as its int; any other coefficient unchanged."""
+    if type(value) is Fraction and value.denominator == 1:
+        return value.numerator
+    return value
+
+
+def _holds_fraction(terms):
+    return Fraction in map(type, terms.values())
 
 
 class LaurentPoly:
     """Multivariate polynomial with integer (possibly negative) exponents.
 
-    Terms are stored as a map from exponent vectors to nonzero Fraction
-    coefficients; the exponent vector is aligned with `variables`, which is
-    kept sorted and free of unused names so equality is plain structural
-    equality.
+    Terms are stored as a map from exponent vectors to nonzero canonical
+    coefficients (int, or Fraction when not integral); the exponent vector
+    is aligned with `variables`, which is kept sorted and free of unused
+    names so equality is plain structural equality.
     """
 
     __slots__ = ("variables", "terms")
@@ -45,7 +62,7 @@ class LaurentPoly:
         variables = tuple(variables)
         clean = {}
         for exps, coeff in ({} if terms is None else terms).items():
-            coeff = _as_fraction(coeff)
+            coeff = _scalar(coeff)
             if not coeff:
                 continue
             exps = tuple(exps)
@@ -65,9 +82,9 @@ class LaurentPoly:
         """Wrap an already normal `terms` map without re-normalizing it.
 
         The caller guarantees that `variables` is sorted, that every
-        exponent vector is aligned with it and that every coefficient is a
-        nonzero Fraction.  Only variables that no term uses are dropped
-        (as after x * x^-1).
+        exponent vector is aligned with it and that every coefficient is
+        nonzero and canonical (an int, or a Fraction with denominator > 1).
+        Only variables that no term uses are dropped (as after x * x^-1).
         """
         variables, terms = _prune(variables, terms)
         poly = object.__new__(cls)
@@ -82,19 +99,19 @@ class LaurentPoly:
 
     @classmethod
     def constant(cls, value):
-        value = _as_fraction(value)
+        value = _scalar(value)
         return cls._from_normal((), {(): value} if value else {})
 
     @classmethod
     def variable(cls, name, power=1):
         if power == 0:
             return cls.constant(1)
-        return cls._from_normal((name,), {(power,): Fraction(1)})
+        return cls._from_normal((name,), {(power,): 1})
 
     @classmethod
     def monomial(cls, coeff, exponents):
         names = tuple(exponents)
-        return cls(names, {tuple(exponents[n] for n in names): _as_fraction(coeff)})
+        return cls(names, {tuple(exponents[n] for n in names): coeff})
 
     @classmethod
     def zero(cls):
@@ -121,14 +138,14 @@ class LaurentPoly:
             return Fraction(0)
         if self.variables:
             raise ValueError(f"not a constant: {self}")
-        return next(iter(self.terms.values()))
+        return Fraction(next(iter(self.terms.values())))
 
     def unit_inverse(self):
         if len(self.terms) != 1:
             raise NonInvertibleError(f"not a Laurent unit: {self}")
         (exps, coeff), = self.terms.items()
         return LaurentPoly._from_normal(
-            self.variables, {tuple(-e for e in exps): 1 / coeff}
+            self.variables, {tuple(-e for e in exps): _canon(1 / Fraction(coeff))}
         )
 
     def min_exponent(self, name):
@@ -140,19 +157,6 @@ class LaurentPoly:
         except ValueError:
             return 0
         return min(e[i] for e in self.terms)
-
-    def coefficient_map(self, name):
-        """Decompose along one variable: exponent -> LaurentPoly in the rest."""
-        if name not in self.variables:
-            return {0: self} if self.terms else {}
-        i = self.variables.index(name)
-        rest = self.variables[:i] + self.variables[i + 1:]
-        out = {}
-        for exps, coeff in self.terms.items():
-            part = out.setdefault(exps[i], {})
-            key = exps[:i] + exps[i + 1:]
-            part[key] = part.get(key, Fraction(0)) + coeff
-        return {k: LaurentPoly(rest, t) for k, t in out.items()}
 
     # -- arithmetic --------------------------------------------------------
 
@@ -226,8 +230,10 @@ class LaurentPoly:
                 key = tuple(map(_add, e1, e2))
                 total = out.get(key)
                 out[key] = c1 * c2 if total is None else total + c1 * c2
+        if _holds_fraction(a) or _holds_fraction(b):
+            out = {e: _canon(c) for e, c in out.items() if c}
         # with a single term in `a` every key is hit once, so none cancels
-        if len(a) > 1:
+        elif len(a) > 1:
             out = {e: c for e, c in out.items() if c}
         return LaurentPoly._from_normal(names, out)
 
@@ -241,7 +247,8 @@ class LaurentPoly:
         if len(self.terms) == 1:
             (exps, coeff), = self.terms.items()
             return LaurentPoly._from_normal(
-                self.variables, {tuple(power * e for e in exps): coeff ** power}
+                self.variables,
+                {tuple(power * e for e in exps): _canon(coeff ** power)},
             )
         result = LaurentPoly.one()
         base = self
@@ -297,6 +304,7 @@ class LaurentPoly:
                 (vexps, vcoeff), = value.terms.items()
                 place = tuple(zip([index[n] for n in value.variables], vexps))
                 moves.append((place, None if vcoeff == 1 else vcoeff))
+            scaled = any(scale is not None for _, scale in moves)
             for exps, coeff in self.terms.items():
                 key = [0] * len(names)
                 for i, e in enumerate(exps):
@@ -308,9 +316,11 @@ class LaurentPoly:
                     if scale is not None:
                         power = powers.get((i, e))
                         if power is None:
-                            power = powers[i, e] = scale ** e
+                            power = powers[i, e] = (
+                                scale ** e if e > 0 else Fraction(scale) ** e
+                            )
                         coeff = coeff * power
-                _accumulate(out, tuple(key), coeff)
+                _accumulate(out, tuple(key), _canon(coeff) if scaled else coeff)
             return LaurentPoly._from_normal(names, out)
         for exps, coeff in self.terms.items():
             key = [0] * len(names)
@@ -399,35 +409,9 @@ def _accumulate(terms, exps, coeff):
         return
     total += coeff
     if total:
-        terms[exps] = total
+        terms[exps] = _canon(total)
     else:
         del terms[exps]
-
-
-def exact_div_difference(poly, va, vb):
-    """Exact division of `poly` by (va - vb); raises if not divisible.
-
-    `poly` must have nonnegative exponents in va.  Synthetic (Horner)
-    division treating va as the main variable with coefficients in the
-    remaining ring.
-    """
-    coeffs = poly.coefficient_map(va)
-    if any(k < 0 for k in coeffs):
-        raise ValueError(f"negative exponent in {va}")
-    if not coeffs:
-        return LaurentPoly.zero()
-    n = max(coeffs)
-    r = LaurentPoly.variable(vb)
-    x = LaurentPoly.variable(va)
-    quotient = LaurentPoly.zero()
-    carry = LaurentPoly.zero()
-    for k in range(n, 0, -1):
-        carry = coeffs.get(k, LaurentPoly.zero()) + r * carry
-        quotient = quotient + carry * x ** (k - 1)
-    remainder = coeffs.get(0, LaurentPoly.zero()) + r * carry
-    if not remainder.is_zero():
-        raise ValueError(f"not divisible by {va} - {vb}")
-    return quotient
 
 
 def geometric_sum(name, lo, hi):
@@ -437,7 +421,7 @@ def geometric_sum(name, lo, hi):
     for every integer hi."""
     if hi >= lo:
         return LaurentPoly(
-            (name,), {(j,): Fraction(1) for j in range(lo, hi + 1)}
+            (name,), {(j,): 1 for j in range(lo, hi + 1)}
         )
     if hi == lo - 1:
         return LaurentPoly.zero()
@@ -559,7 +543,10 @@ class TruncatedSeries:
                 key = tuple(map(_add, e1, e2))
                 total = out.get(key)
                 out[key] = c1 * c2 if total is None else total + c1 * c2
-        out = {e: c for e, c in out.items() if c}
+        if _holds_fraction(a) or _holds_fraction(b):
+            out = {e: _canon(c) for e, c in out.items() if c}
+        else:
+            out = {e: c for e, c in out.items() if c}
         return self._wrap(LaurentPoly._from_normal(names, out))
 
     __rmul__ = __mul__
@@ -726,15 +713,12 @@ class RingMatrix:
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
-        cols = list(zip(*other.entries))
+        # zero-test each entry once; only pairs of nonzero entries multiply
+        cols = [_nonzero(col) for col in zip(*other.entries)]
         out = []
         for row in self.entries:
-            out.append(
-                [
-                    _dot(row, col)
-                    for col in cols
-                ]
-            )
+            row = dict(_nonzero(row))
+            out.append([_dot(row, col) for col in cols])
         return RingMatrix(out)
 
     def apply(self, vector):
@@ -742,7 +726,8 @@ class RingMatrix:
         vector = list(vector)
         if len(vector) != self.cols:
             raise ValueError("dimension mismatch")
-        return [_dot(row, vector) for row in self.entries]
+        vector = _nonzero(vector)
+        return [_dot(dict(_nonzero(row)), vector) for row in self.entries]
 
     def transpose(self):
         return RingMatrix(list(zip(*self.entries)))
@@ -777,11 +762,7 @@ class RingMatrix:
             return NotImplemented
         if self.rows != other.rows or self.cols != other.cols:
             return False
-        return all(
-            is_zero(a - b)
-            for r1, r2 in zip(self.entries, other.entries)
-            for a, b in zip(r1, r2)
-        )
+        return self.entries == other.entries
 
     def __hash__(self):
         return hash((self.rows, self.cols, self.entries))
@@ -791,7 +772,7 @@ class RingMatrix:
         if not self.is_square():
             raise ValueError("determinant of a non-square matrix")
         n = self.rows
-        dp = {0: Fraction(1)}
+        dp = {0: 1}
         for r in range(n):
             ndp = {}
             row = self.entries[r]
@@ -810,7 +791,7 @@ class RingMatrix:
                     term = (val * e) if sign > 0 else -(val * e)
                     ndp[key] = ndp.get(key, 0) + term
             dp = ndp
-        return dp.get((1 << n) - 1, Fraction(0))
+        return dp.get((1 << n) - 1, 0)
 
     def charpoly(self, name):
         """det(name*Id - self) as a LaurentPoly."""
@@ -827,10 +808,17 @@ class RingMatrix:
         return f"RingMatrix({self.rows}x{self.cols})"
 
 
+def _nonzero(entries):
+    """The (index, entry) pairs of the nonzero entries, in order."""
+    return [(k, e) for k, e in enumerate(entries) if not is_zero(e)]
+
+
 def _dot(row, col):
+    """Sum of row[k] * b over the (k, b) pairs of `col` with k in `row`."""
     acc = None
-    for a, b in zip(row, col):
-        if is_zero(a) or is_zero(b):
+    for k, b in col:
+        a = row.get(k)
+        if a is None:
             continue
         term = a * b
         acc = term if acc is None else acc + term

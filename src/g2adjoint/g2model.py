@@ -82,7 +82,7 @@ def _build_trilinear():
                         sign = -sign
             key = tuple(base[perm.index(t)] for t in range(3))
             tensor[key] = tensor.get(key, 0) + sign * coeff
-    return {k: Fraction(c) for k, c in tensor.items() if c}
+    return {k: c for k, c in tensor.items() if c}
 
 
 TRILINEAR = _build_trilinear()

@@ -1,6 +1,5 @@
 """Kernel tests: Laurent arithmetic, truncated series, exact determinants."""
 
-import random
 from fractions import Fraction
 
 import pytest
@@ -14,8 +13,8 @@ from g2adjoint.algebra import (
     RingMatrix,
     TruncatedSeries,
     equal_mod_inverses,
-    exact_div_difference,
     geometric_sum,
+    is_zero,
     series_expand,
 )
 
@@ -29,14 +28,6 @@ def test_rational_contract():
 
 def v(name, power=1):
     return LaurentPoly.variable(name, power)
-
-
-def random_poly(rng, names, max_terms=4, max_exp=2):
-    terms = {}
-    for _ in range(rng.randint(1, max_terms)):
-        exps = tuple(rng.randint(-max_exp, max_exp) for _ in names)
-        terms[exps] = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-    return LaurentPoly(names, terms)
 
 
 def test_constant_and_variable_basics():
@@ -62,41 +53,41 @@ def test_laurent_negative_exponents_and_units():
         (v("a") + 1).unit_inverse()
 
 
-def test_ring_axioms_on_random_triples():
-    rng = random.Random(20240811)
-    for _ in range(100):
-        p = random_poly(rng, ("a", "b"))
-        q = random_poly(rng, ("b", "c"))
-        r = random_poly(rng, ("a", "c"))
-        assert (p + q) * r == p * r + q * r
-        assert p * q == q * p
-        assert (p * q) * r == p * (q * r)
-        assert p + q == q + p
-
-
 # Property tests: every kernel result is in the normal form the public
-# constructor produces, whichever internal path built it.
+# constructor produces, whichever internal path built it.  Coefficients are
+# drawn as ints and as Fractions (integral ones too), so both the int and
+# the Fraction paths of the kernel run.
 KERNEL = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 NAMES = ("a", "b", "c")
+# Fraction(n, d) rather than st.fractions, which draws about 7x slower
 scalars = st.one_of(
-    st.integers(-3, 3), st.fractions(-5, 5, max_denominator=4)
+    st.integers(-3, 3), st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
 )
 nonzero_scalars = scalars.filter(bool)
 
 
 @st.composite
-def polys(draw, names=NAMES, max_terms=5):
+def polys(draw, names=NAMES, max_terms=5, coeffs=scalars):
     # variables in any order; coefficients may be 0 or plain ints
     chosen = draw(st.permutations(names))[: draw(st.integers(0, len(names)))]
     exps = st.tuples(*[st.integers(-3, 3)] * len(chosen))
-    return LaurentPoly(chosen, draw(st.dictionaries(exps, scalars, max_size=max_terms)))
+    return LaurentPoly(chosen, draw(st.dictionaries(exps, coeffs, max_size=max_terms)))
 
 
-units = st.builds(
-    LaurentPoly.monomial,
-    nonzero_scalars,
-    st.dictionaries(st.sampled_from(NAMES + ("d",)), st.integers(-3, 3)),
-)
+def monomials(coeffs):
+    return st.builds(
+        LaurentPoly.monomial,
+        coeffs,
+        st.dictionaries(st.sampled_from(NAMES + ("d",)), st.integers(-3, 3)),
+    )
+
+
+units = monomials(nonzero_scalars)
+
+
+def matrices(rows, cols, entries=scalars):
+    row = st.lists(entries, min_size=cols, max_size=cols)
+    return st.lists(row, min_size=rows, max_size=rows).map(RingMatrix)
 
 
 def assert_normal(p):
@@ -107,9 +98,20 @@ def assert_normal(p):
         assert any(e[i] for e in p.terms), f"unused variable {name}"
     for exps, coeff in p.terms.items():
         assert type(exps) is tuple and len(exps) == len(p.variables)
-        assert type(coeff) is Fraction and coeff != 0
+        # canonical: an int when integral, else a Fraction; never bool/float
+        assert type(coeff) is (int if coeff.denominator == 1 else Fraction)
+        assert coeff != 0
     rebuilt = LaurentPoly(p.variables, dict(p.terms))
     assert p == rebuilt and hash(p) == hash(rebuilt)
+
+
+@KERNEL
+@given(polys(), polys(), polys())
+def test_ring_axioms_on_random_triples(p, q, r):
+    assert (p + q) * r == p * r + q * r
+    assert p * q == q * p
+    assert (p * q) * r == p * (q * r)
+    assert p + q == q + p
 
 
 @KERNEL
@@ -117,6 +119,10 @@ def assert_normal(p):
 def test_arithmetic_results_are_normal(p, q, c):
     for result in (p + q, p - q, p * q, -p, p + c, c - p, c * p, p * p - p * p):
         assert_normal(result)
+    x = v("x")
+    s = TruncatedSeries(p + x * q, {"x"}, 2)
+    for result in (s * TruncatedSeries(q + x * p, {"x"}, 2), c * s, s + c):
+        assert_normal(result.poly)
 
 
 @KERNEL
@@ -164,6 +170,67 @@ def test_unit_substitution_matches_term_by_term(p, mapping):
     assert result == expected
 
 
+int_coeffs = st.integers(-3, 3)
+signed_units = monomials(st.sampled_from((1, -1)))
+
+
+def assert_int_only(p):
+    assert_normal(p)
+    assert all(type(c) is int for c in p.terms.values())
+
+
+@KERNEL
+@given(
+    polys(coeffs=int_coeffs),
+    polys(coeffs=int_coeffs),
+    st.integers(0, 3),
+    signed_units,
+    st.integers(-3, 3),
+    st.dictionaries(
+        st.sampled_from(NAMES + ("d",)),
+        st.one_of(int_coeffs, signed_units, polys(max_terms=3, coeffs=int_coeffs)),
+    ),
+)
+def test_integer_inputs_give_integer_results(p, q, k, u, j, mapping):
+    for result in (p + q, p - q, p * q, -p, p + 2, 3 - p, 2 * p, p ** k, u ** j):
+        assert_int_only(result)
+    try:
+        substituted = p.subs(mapping)
+    except NonInvertibleError:
+        pass
+    else:
+        assert_int_only(substituted)
+    # a series whose constant term is a unit with coefficient +-1
+    x = v("x")
+    den = TruncatedSeries(u + x * p + x ** 2 * q, {"x"}, 4)
+    num = TruncatedSeries(q + x * p, {"x"}, 4)
+    inverse = den.inverse()
+    for result in (num * den, inverse, num * inverse):
+        assert_int_only(result.poly)
+    assert den * inverse == 1
+
+
+def test_inverses_of_integers_are_fractions():
+    def only_coeff(p):
+        (coeff,) = p.terms.values()
+        return coeff
+
+    u = LaurentPoly.monomial(2, {"a": 1})
+    for p in (u.unit_inverse(), u ** -1, v("a", -1).subs({"a": 2})):
+        coeff = only_coeff(p)
+        assert type(coeff) is Fraction and coeff == Fraction(1, 2)
+    assert type(only_coeff(v("a", -3).subs({"a": -1}))) is int
+    assert type(only_coeff((-v("a")).unit_inverse())) is int
+    half = LaurentPoly.monomial(Fraction(1, 2), {"a": 1})
+    assert type(only_coeff(half ** 0)) is int
+    assert type(only_coeff(half * 2)) is int
+    assert type(LaurentPoly.constant(Fraction(4, 2)).as_fraction()) is Fraction
+    assert only_coeff(LaurentPoly.constant(True)) == 1
+    assert type(only_coeff(LaurentPoly.constant(True))) is int
+    with pytest.raises(TypeError):
+        LaurentPoly.constant(0.5)
+
+
 def test_substitution():
     p = v("a", 2) * v("b", -1) + 3
     q = p.subs({"b": LaurentPoly.monomial(1, {"c": 2})})
@@ -178,15 +245,6 @@ def test_scale_exponents_is_adams_substitution():
     assert p.scale_exponents(3) == p.subs(
         {"a": LaurentPoly.monomial(1, {"a": 3}), "b": LaurentPoly.monomial(1, {"b": 3})}
     )
-
-
-def test_exact_division_by_difference():
-    x1, x2 = v("x1"), v("x2")
-    p = x1 ** 3 - x2 ** 3
-    q = exact_div_difference(p, "x1", "x2")
-    assert q == x1 ** 2 + x1 * x2 + x2 ** 2
-    with pytest.raises(ValueError):
-        exact_div_difference(x1 ** 2 + x2, "x1", "x2")
 
 
 def test_geometric_sum_reflection_convention():
@@ -239,15 +297,15 @@ def test_series_expand_requires_invertible_constant_term():
     assert "X" in str(err.value)
 
 
-def test_series_times_denominator_recovers_numerator():
-    rng = random.Random(7)
+@KERNEL
+@given(nonzero_scalars, scalars, scalars, scalars, scalars)
+def test_series_times_denominator_recovers_numerator(d0, d1, d2, n0, n1):
     x = v("X")
-    for _ in range(10):
-        den = 1 + rng.randint(-3, 3) * x + rng.randint(-3, 3) * x ** 2
-        num = rng.randint(-3, 3) + rng.randint(-3, 3) * x
-        s = series_expand(num, den, {"X"}, 8)
-        back = s * TruncatedSeries(den, {"X"}, 8)
-        assert back == TruncatedSeries(num, {"X"}, 8)
+    den = d0 + d1 * x + d2 * x ** 2
+    num = n0 + n1 * x
+    s = series_expand(num, den, {"X"}, 8)
+    back = s * TruncatedSeries(den, {"X"}, 8)
+    assert back == TruncatedSeries(num, {"X"}, 8)
 
 
 def test_truncation_is_total_degree_across_series_vars():
@@ -288,26 +346,72 @@ def test_det_rejects_non_square():
         RingMatrix([[1, 2, 3], [4, 5, 6]]).charpoly("t")
 
 
-def test_det_is_multiplicative_on_random_matrices():
-    rng = random.Random(12345)
-    for n in (3, 4):
-        for _ in range(8):
-            m1 = RingMatrix(
-                [[random_poly(rng, ("a",), 2, 1) for _ in range(n)] for _ in range(n)]
-            )
-            m2 = RingMatrix(
-                [[random_poly(rng, ("a",), 2, 1) for _ in range(n)] for _ in range(n)]
-            )
-            assert (m1 * m2).det() == m1.det() * m2.det()
+small_polys = st.dictionaries(st.tuples(st.integers(-1, 1)), scalars, max_size=2).map(
+    lambda terms: LaurentPoly(("a",), terms)
+)
 
 
-def test_matrix_product_associative_on_random_triples():
-    rng = random.Random(999)
-    ms = [
-        RingMatrix([[Fraction(rng.randint(-4, 4)) for _ in range(3)] for _ in range(3)])
-        for _ in range(3)
+@KERNEL
+@given(st.data(), st.sampled_from((3, 4)))
+def test_det_is_multiplicative_on_random_matrices(data, n):
+    m1 = data.draw(matrices(n, n, small_polys))
+    m2 = data.draw(matrices(n, n, small_polys))
+    assert (m1 * m2).det() == m1.det() * m2.det()
+
+
+@KERNEL
+@given(st.data(), st.lists(st.integers(1, 4), min_size=4, max_size=4))
+def test_matrix_product_associative_on_random_triples(data, dims):
+    entries = st.one_of(scalars, polys(max_terms=2))
+    a, b, c = (data.draw(matrices(dims[i], dims[i + 1], entries)) for i in range(3))
+    assert (a * b) * c == a * (b * c)
+
+
+# Oracle for the sparse products: mostly-zero matrices whose zeros are 0,
+# Fraction(0) and LaurentPoly.zero(), against the textbook triple loop.
+sparse_entries = st.one_of(
+    st.just(0), st.just(Fraction(0)), st.just(LaurentPoly.zero()),
+    scalars, polys(max_terms=2),
+)
+
+
+def textbook_product(a, b):
+    return [
+        [
+            sum((a[i][t] * b[t][j] for t in range(len(b))), LaurentPoly.zero())
+            for j in range(len(b[0]))
+        ]
+        for i in range(len(a))
     ]
-    assert (ms[0] * ms[1]) * ms[2] == ms[0] * (ms[1] * ms[2])
+
+
+def same_entry(x, y):
+    return is_zero(LaurentPoly.zero() + x - y)
+
+
+@KERNEL
+@given(st.data(), st.lists(st.integers(1, 8), min_size=3, max_size=3))
+def test_sparse_products_match_textbook_loop(data, dims):
+    n, m, k = dims
+    a = data.draw(matrices(n, m, sparse_entries))
+    b = data.draw(matrices(m, k, sparse_entries))
+    vector = data.draw(st.lists(sparse_entries, min_size=m, max_size=m))
+    rows_a, rows_b = [list(r) for r in a.entries], [list(r) for r in b.entries]
+    expected = textbook_product(rows_a, rows_b)
+    product = a * b
+    assert (product.rows, product.cols) == (n, k)
+    for got, want in zip(product.entries, expected):
+        assert all(same_entry(x, y) for x, y in zip(got, want))
+    applied = a.apply(vector)
+    want = [row[0] for row in textbook_product(rows_a, [[e] for e in vector])]
+    assert len(applied) == n
+    assert all(same_entry(x, y) for x, y in zip(applied, want))
+    # == against the loop's differently typed entries, then one entry off
+    assert product == RingMatrix(expected)
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, k - 1))
+    expected[i][j] = expected[i][j] + data.draw(nonzero_scalars)
+    assert not product == RingMatrix(expected)
+    assert product != RingMatrix(expected)
 
 
 def test_charpoly_examples():
@@ -319,28 +423,26 @@ def test_charpoly_examples():
     assert d.charpoly("t") == t ** 2 - (mu + mu.unit_inverse()) * t + 1
 
 
-def test_charpoly_of_block_diagonal_is_product():
-    rng = random.Random(4242)
-    for _ in range(5):
-        b1 = [[Fraction(rng.randint(-3, 3)) for _ in range(2)] for _ in range(2)]
-        b2 = [[Fraction(rng.randint(-3, 3)) for _ in range(2)] for _ in range(2)]
-        block = [
-            [b1[0][0], b1[0][1], 0, 0],
-            [b1[1][0], b1[1][1], 0, 0],
-            [0, 0, b2[0][0], b2[0][1]],
-            [0, 0, b2[1][0], b2[1][1]],
-        ]
-        lhs = RingMatrix(block).charpoly("t")
-        rhs = RingMatrix(b1).charpoly("t") * RingMatrix(b2).charpoly("t")
-        assert lhs == rhs
+@KERNEL
+@given(matrices(2, 2), matrices(2, 2))
+def test_charpoly_of_block_diagonal_is_product(m1, m2):
+    b1, b2 = m1.entries, m2.entries
+    block = [
+        [b1[0][0], b1[0][1], 0, 0],
+        [b1[1][0], b1[1][1], 0, 0],
+        [0, 0, b2[0][0], b2[0][1]],
+        [0, 0, b2[1][0], b2[1][1]],
+    ]
+    lhs = RingMatrix(block).charpoly("t")
+    assert lhs == m1.charpoly("t") * m2.charpoly("t")
 
 
-def test_charpoly_constant_term_is_signed_det():
-    rng = random.Random(31)
-    m = RingMatrix([[Fraction(rng.randint(-3, 3)) for _ in range(3)] for _ in range(3)])
-    cp = m.charpoly("t")
-    const = cp.subs({"t": 0})
-    assert const == -m.det()  # (-1)^3 det
+@KERNEL
+@given(st.data(), st.integers(1, 4))
+def test_charpoly_constant_term_is_signed_det(data, n):
+    m = data.draw(matrices(n, n))
+    const = m.charpoly("t").subs({"t": 0})
+    assert const == (-1) ** n * m.det()
 
 
 def test_anti_transpose():

@@ -163,6 +163,26 @@ def test_verify_all_document(capsys):
     assert len(doc["typo_ledger"]) >= 5
 
 
+@pytest.mark.parametrize(
+    "rho, digest",
+    [
+        (1, "5d81df0e75c39aa6a61b3a77e70bd2e47cb23c094933340239b220cff919ce96"),
+        (3, "c4039af6444dffd0bdf8b069287625b12c2311c23f144e5d6557cc4968697045"),
+        (4, "991e187a9a5dde33bcae46c59e80812bacb02adc2d7c1e2d1585280b8f97ac4a"),
+    ],
+    ids=["1", "3", "4"],
+)
+def test_verify_all_digest_other_rhos(capsys, rho, digest):
+    # both quadratic classes at q = 5, byte for byte: the sha256 values are
+    # perfbench/gate.py's VERIFY_ALL_DIGESTS[("full", rho)]
+    assert main(
+        ["verify", "all", "--degree", "6", "--rho", str(rho), "--format",
+         "json", "--no-timestamp"]
+    ) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_verify_all_default_degree_document(capsys):
     # the default degree (12) and rho (2), byte for byte: the sha256 is
     # perfbench/gate.py's VERIFY_ALL_DIGESTS[("roadmap", 2)]
