@@ -446,12 +446,10 @@ def eliminate_formal_inverse(poly, name, value):
 
 def equal_mod_inverses(left, right, relations):
     """Equality in the localization defined by {name: polynomial value}."""
-    if not isinstance(left, LaurentPoly):
-        left = LaurentPoly.constant(left)
     diff = left - right
     for name, value in relations.items():
         diff = eliminate_formal_inverse(diff, name, value)
-    return diff.is_zero()
+    return is_zero(diff)
 
 
 class TruncatedSeries:

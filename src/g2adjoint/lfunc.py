@@ -15,6 +15,8 @@ third zeta argument.
 
 from __future__ import annotations
 
+import math
+
 from .algebra import (
     LaurentPoly,
     RingMatrix,
@@ -49,16 +51,10 @@ def l_factor_denominator(satake, sign=1):
     return (RingMatrix.identity(8) - m.scale(sym("x"))).det()
 
 
-def local_l_factor(satake, bound, sign=1):
-    """Series of det(1 - x r(class))^-1 truncated at x-degree `bound`."""
-    return series_expand(1, l_factor_denominator(satake, sign), {"x"}, bound)
-
-
-def nonsplit_factor_product(mu=None, x=None):
+def nonsplit_factor_product():
     """The displayed five-factor reciprocal of the non-split L-factor."""
-    mu = sym("mu") if mu is None else mu
-    x = sym("x") if x is None else x
-    mu2 = mu * mu
+    x = sym("x")
+    mu2 = sym("mu") ** 2
     mu2_inv = mu2.unit_inverse()
     return (
         (1 - mu2 * x)
@@ -109,18 +105,6 @@ def inner_integral_closed(vc):
     return (1 - sym("q", -1) * sym("x")) * geometric_sum("x", 0, vc)
 
 
-def inner_integral(vc, bound):
-    """The shell-summed inner integral as a truncated series in x.
-
-    Only defined for vc >= -1 (below that the exact value is a genuine
-    Laurent object in x; use inner_integral_shell / inner_integral_closed).
-    """
-    poly = inner_integral_shell(vc)
-    if vc < -1:
-        raise ValueError("inner integral is not a power series for v(c) < -1")
-    return TruncatedSeries(poly, {"x"}, bound)
-
-
 def poincare_oracle(bound):
     """Brute-force symmetric-algebra decomposition against the six-factor
     closed form, coefficient-by-coefficient to X-degree `bound`."""
@@ -139,16 +123,8 @@ def poincare_oracle(bound):
         table[k] = mults
         for (m1, m2), mult in sorted(mults.items()):
             lhs = lhs + mult * t1 ** m1 * t2 ** m2 * x ** k
-    num = 1 - t1 ** 3 * t2 ** 3 * x ** 6
-    den = (
-        (1 - t1 * t2 * x)
-        * (1 - t1 * t2 * x ** 2)
-        * (1 - t1 ** 3 * x ** 3)
-        * (1 - t2 ** 3 * x ** 3)
-        * (1 - x ** 2)
-        * (1 - x ** 3)
-    )
-    rhs = series_expand(num, den, {"X"}, bound)
+    num, den = _split_closed_form()
+    rhs = series_expand(num, den * (1 - x ** 2) * (1 - x ** 3), {"X"}, bound)
     mismatch = _first_series_mismatch(
         TruncatedSeries(lhs, {"X"}, bound), rhs
     )
@@ -167,6 +143,17 @@ def poincare_oracle(bound):
         "Sym^0 = trivial, Sym^1 = adjoint, Sym^2 = 27 + 8 + 1",
     )
     return report
+
+
+def _split_closed_form():
+    """Numerator and denominator of the split generating function in T1,
+    T2, X; the Poincare series divides it by (1 - X^2)(1 - X^3)."""
+    t1, t2, x = sym("T1"), sym("T2"), sym("X")
+    num = 1 - t1 ** 3 * t2 ** 3 * x ** 6
+    den = math.prod(
+        (1 - t1 * t2 * x, 1 - t1 * t2 * x ** 2, 1 - (t1 * x) ** 3, 1 - (t2 * x) ** 3)
+    )
+    return num, den
 
 
 def _first_series_mismatch(lhs, rhs):
@@ -216,16 +203,8 @@ def split_identity_lattice_sum(bound):
 def split_identity_check(bound):
     """The split-case lattice sum equals the four-factor closed form."""
     report = VerificationReport("split-identity", {"degree": bound})
-    t1, t2, x = sym("T1"), sym("T2"), sym("X")
     lhs = TruncatedSeries(split_identity_lattice_sum(bound), {"X"}, bound)
-    num = 1 - t1 ** 3 * t2 ** 3 * x ** 6
-    den = (
-        (1 - t1 * t2 * x)
-        * (1 - t1 * t2 * x ** 2)
-        * (1 - t1 ** 3 * x ** 3)
-        * (1 - t2 ** 3 * x ** 3)
-    )
-    rhs = series_expand(num, den, {"X"}, bound)
+    rhs = series_expand(*_split_closed_form(), {"X"}, bound)
     mismatch = _first_series_mismatch(lhs, rhs)
     report.check(
         "lattice-sum-equals-four-factor-form",
@@ -235,7 +214,7 @@ def split_identity_check(bound):
     )
     report.check(
         "spot-values",
-        lhs.coefficient(0) == 1 and lhs.coefficient(1) == t1 * t2,
+        lhs.coefficient(0) == 1 and lhs.coefficient(1) == sym("T1") * sym("T2"),
         "constant term 1; X^1 coefficient T1*T2 (only (1,1) contributes)",
     )
     return report
@@ -314,10 +293,7 @@ ZETA_TRIPLE_PRINTED = ((3, 0), (6, -2), (3, -9))
 def unramified_rhs(satake, zeta_triple, bound):
     """L(3s-1, pi, r) divided by the three zeta factors, as a series in x
     (note q^-(3s-1) = x, so the L-factor needs no shift)."""
-    num = LaurentPoly.one()
-    for c1, c0 in zeta_triple:
-        _, den = zeta_factor(c1, c0)
-        num = num * den
+    num = math.prod(zeta_factor(c1, c0)[1] for c1, c0 in zeta_triple)
     return series_expand(num, l_factor_denominator(satake), {"x"}, bound)
 
 
@@ -422,26 +398,22 @@ def verify_lfactor(case="nonsplit"):
             "(1-mu^-2 x)(1-mu^-2 x^2), symbolic mu",
         )
         x = sym("x")
-        block = LaurentPoly.one()
-        for w in plus:
-            block = block * (1 - w * x)
-        for w in minus:
-            block = block * (1 + w * x)
+
+        def blocks(sign):
+            return math.prod(
+                [*(1 - sign * w * x for w in plus), *(1 + sign * w * x for w in minus)]
+            )
+
         report.check(
             "determinant-equals-eigenvalue-blocks",
-            den == block,
+            den == blocks(1),
             "the -1 eigenvalues enter through 1 + w x factors (pairing "
             "into the x^2 factors)",
         )
         twisted = l_factor_denominator(NonSplitClass.symbolic(), sign=-1)
-        tblock = LaurentPoly.one()
-        for w in plus:
-            tblock = tblock * (1 + w * x)
-        for w in minus:
-            tblock = tblock * (1 - w * x)
         report.check(
             "twisted-variant-flips-block-signs",
-            twisted == tblock
+            twisted == blocks(-1)
             and twisted == den.subs({"x": -sym("x")}),
             "det(1 - x r(g) r'(Fr)) swaps the block signs, i.e. the "
             "quadratic twist x -> -x",
@@ -450,12 +422,9 @@ def verify_lfactor(case="nonsplit"):
         satake = SplitClass.symbolic()
         den = l_factor_denominator(satake)
         x = sym("x")
-        product = LaurentPoly.one()
-        for w in adjoint_weights():
-            product = product * (1 - w * x)
         report.check(
             "determinant-equals-weight-product",
-            den == product,
+            den == math.prod(1 - w * x for w in adjoint_weights()),
             "det(1 - x r(diag(alpha))) = prod over the eight adjoint "
             "weights alpha_i/alpha_j (i != j) and 1, 1",
         )

@@ -19,58 +19,43 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import LaurentPoly
 from .g2model import (
+    G2_PARAMS,
     PARABOLIC_PARAMS,
     ROOT_PARAMS,
     SIMPLE_PARAMS,
     TRILINEAR,
-    one_param,
-    sym,
+    g2_element,
 )
 from .report import VerificationReport, merge_reports
 
 ORBIT_CAP = 10 ** 7
 
-_EXP_CACHE = {}
+
+def _root_int(param):
+    """(E, E^2/2) as int64 arrays, E the root matrix of `param`.
+
+    E^3 = 0 and E^2 is even, so exp(t E) = I + t E + t^2 (E^2/2) has
+    integer entries (Steinberg, Lectures on Chevalley Groups).
+    """
+    values = dict.fromkeys(G2_PARAMS, 0)
+    values[param] = 1
+    m = g2_element(*(values[p] for p in G2_PARAMS))
+    e = np.array([[m[i, j] for j in range(8)] for i in range(8)], dtype=np.int64)
+    e2 = e @ e
+    if (e2 @ e).any() or (e2 % 2).any():
+        raise ArithmeticError(f"non-integral exponential at {param}")
+    return e, e2 // 2
 
 
-def _exp_table(param):
-    """Entries of exp(u E_root) as integer coefficient maps {deg: coeff}."""
-    if param not in _EXP_CACHE:
-        g = one_param(param, sym("u"))
-        table = []
-        for i in range(8):
-            row = []
-            for j in range(8):
-                e = g[i, j]
-                if not isinstance(e, LaurentPoly):
-                    row.append({0: int(e)})
-                    continue
-                entry = {}
-                for exps, coeff in e.terms.items():
-                    if coeff.denominator != 1:
-                        raise ArithmeticError(
-                            f"non-integral exponential entry at {param}"
-                        )
-                    entry[exps[0] if exps else 0] = int(coeff)
-                row.append(entry)
-            table.append(row)
-        _EXP_CACHE[param] = table
-    return _EXP_CACHE[param]
+_ROOT_INT = {param: _root_int(param) for param in ROOT_PARAMS}
 
 
 def one_param_mod(param, t, p):
     """exp(t E_root) reduced mod p, as an 8x8 numpy array."""
-    table = _exp_table(param)
-    out = np.zeros((8, 8), dtype=np.int64)
-    for i in range(8):
-        for j in range(8):
-            acc = 0
-            for deg, coeff in table[i][j].items():
-                acc += coeff * pow(int(t), deg, p)
-            out[i, j] = acc % p
-    return out
+    e, half_e2 = _ROOT_INT[param]
+    t = int(t) % p
+    return (np.eye(8, dtype=np.int64) + t * e + t * t * half_e2) % p
 
 
 def _n_mod(param, t, p):

@@ -205,7 +205,7 @@ def merge_reports(suite, parameters, labeled_reports):
     return merged
 
 
-def reports_to_json(reports, timestamp=None, indent=2):
+def reports_to_json(reports, timestamp=None):
     """Aggregate several suite reports into one stable JSON document."""
     seen = []
     for r in reports:
@@ -219,4 +219,4 @@ def reports_to_json(reports, timestamp=None, indent=2):
     }
     if timestamp is not None:
         doc["timestamp"] = timestamp
-    return json.dumps(doc, indent=indent)
+    return json.dumps(doc, indent=2)

@@ -164,11 +164,10 @@ def r_matrix(satake, sign=1):
     return conjugation_matrix(g, g_inv)
 
 
-def adjoint_weights(alpha1=None, alpha2=None):
+def adjoint_weights():
     """The eight weights of the adjoint representation at
     diag(alpha1, alpha2, (alpha1 alpha2)^-1), in basis order."""
-    a1 = sym("alpha1") if alpha1 is None else alpha1
-    a2 = sym("alpha2") if alpha2 is None else alpha2
+    a1, a2 = sym("alpha1"), sym("alpha2")
     a3 = (a1 * a2).unit_inverse()
     eig = (a1, a2, a3)
     order = [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
@@ -206,10 +205,6 @@ def schur_char(m1, m2, alpha1=None, alpha2=None):
     if not explicit:
         return char
     return char.subs({"alpha1": a1, "alpha2": a2})
-
-
-def weyl_dimension(m1, m2):
-    return (m1 + 1) * (m2 + 1) * (m1 + m2 + 2) // 2
 
 
 def sl2_char(k, z):
@@ -295,7 +290,7 @@ def fr_eigensplit(mu=None):
     for sign in (1, -1):
         projector = [
             [
-                Fraction(1, 2) * _as_frac(fr[i, j])
+                Fraction(fr[i, j], 2)
                 + (Fraction(sign, 2) if i == j else 0)
                 for j in range(8)
             ]
@@ -308,12 +303,6 @@ def fr_eigensplit(mu=None):
         eigen.sort(key=lambda p: -_mu_exponent(p))
         results.append(eigen)
     return results[0], results[1]
-
-
-def _as_frac(x):
-    if isinstance(x, LaurentPoly):
-        return x.as_fraction()
-    return Fraction(x)
 
 
 def _mu_exponent(p):

@@ -5,21 +5,18 @@ from fractions import Fraction
 
 import pytest
 
-from g2adjoint.algebra import LaurentPoly, RingMatrix, equal_mod_inverses
+from g2adjoint.algebra import LaurentPoly, RingMatrix, equal_mod_inverses, is_zero
 from g2adjoint.g2model import (
     G2_PARAMS,
     J8,
     N_RELATION,
-    PARAM_OF_ROOT,
     ROOT_PARAMS,
-    ROOTS,
     SU21_PARAMS,
     TRILINEAR,
     V0_VECTOR,
     annihilates_v_rho,
     bracket,
     chevalley_n,
-    coroot_element,
     derivation_defect,
     g2_element,
     g2_read_params,
@@ -30,7 +27,6 @@ from g2adjoint.g2model import (
     matrix_entry_strings,
     modulus_characters,
     one_param,
-    pairing,
     preserves_bilinear,
     preserves_trilinear,
     root_matrix,
@@ -45,6 +41,69 @@ from g2adjoint.g2model import (
     verify_lie_models,
     weyl_rep,
 )
+
+
+def pairing(u, w):
+    """<u, w> = u . J . w with J anti-diagonal."""
+    n = len(u)
+    acc = LaurentPoly.zero()
+    for i in range(n):
+        acc = acc + u[i] * w[n - 1 - i]
+    return acc
+
+
+def coroot_element(param, t, t_inverse):
+    """h_root(t) = n_root(t) n_root(-1), a torus element."""
+    minus_one = LaurentPoly.constant(-1)
+    return chevalley_n(param, t, t_inverse) * chevalley_n(
+        param, minus_one, minus_one
+    )
+
+
+def _root_weight(param):
+    """The linear form in (T1, T2) by which the torus acts on the root line."""
+    h = torus_direction(sym("T1"), sym("T2"))
+    e = root_matrix(param)
+    b = bracket(h, e)
+    weight = None
+    for i in range(8):
+        for j in range(8):
+            if not is_zero(e[i, j]):
+                cand = b[i, j] * (1 if e[i, j] == 1 else -1)
+                if weight is None:
+                    weight = cand
+                elif weight != cand:
+                    raise ArithmeticError(f"{param} is not a weight direction")
+    if not b == e.scale(weight):
+        raise ArithmeticError(f"{param} is not a weight direction")
+    return weight
+
+
+def _weight_coeffs(weight):
+    c1 = weight.subs({"T1": 1, "T2": 0}).as_fraction()
+    c2 = weight.subs({"T1": 0, "T2": 1}).as_fraction()
+    return c1, c2
+
+
+def _compute_roots():
+    # Basis: alpha1 is the weight of 'a' (short simple), alpha2 the weight
+    # of 'b' (long simple); integer coordinates of every parameter weight.
+    wa = _weight_coeffs(_root_weight("a"))
+    wb = _weight_coeffs(_root_weight("b"))
+    det = wa[0] * wb[1] - wa[1] * wb[0]
+    roots = {}
+    for p in ROOT_PARAMS:
+        c1, c2 = _weight_coeffs(_root_weight(p))
+        m = (c1 * wb[1] - c2 * wb[0]) / det
+        n = (wa[0] * c2 - wa[1] * c1) / det
+        if m.denominator != 1 or n.denominator != 1:
+            raise ArithmeticError("non-integral root coordinates")
+        roots[p] = (int(m), int(n))
+    return roots
+
+
+ROOTS = _compute_roots()
+PARAM_OF_ROOT = {coords: p for p, coords in ROOTS.items()}
 
 
 def basis_vector(i):
@@ -262,6 +321,22 @@ def test_torus_group_law():
 def test_iwasawa_suite_passes():
     report = verify_iwasawa()
     assert report.passed, report.to_text()
+
+
+def test_wrong_case2_factor_fails_the_report(monkeypatch, capsys):
+    # a wrong case-2 derivation must give FAIL, not an ArithmeticError
+    from g2adjoint import cli, g2model
+
+    monkeypatch.setattr(
+        g2model, "chevalley_n", lambda param, t, t_inverse: RingMatrix.identity(8)
+    )
+    report = verify_iwasawa()
+    status = {c.name: c.status for c in report.checks}
+    assert status["case2-product-is-torus-matrix"] == "fail"
+    assert cli.main(["verify", "iwasawa"]) == 1
+    out, err = capsys.readouterr()
+    assert "[FAIL] case2-product-is-torus-matrix" in out
+    assert "Traceback" not in out + err
 
 
 def test_case1_t_prime_diagonal_as_displayed():

@@ -6,11 +6,9 @@ from g2adjoint.algebra import LaurentPoly, TruncatedSeries, series_expand
 from g2adjoint.lfunc import (
     ZETA_TRIPLE_DERIVED,
     ZETA_TRIPLE_PRINTED,
-    inner_integral,
     inner_integral_closed,
     inner_integral_shell,
     l_factor_denominator,
-    local_l_factor,
     nonsplit_factor_product,
     nonsplit_identity_check,
     poincare_oracle,
@@ -27,6 +25,23 @@ from g2adjoint.reps import NonSplitClass, SplitClass, schur_char
 
 
 ONE = LaurentPoly.one()
+
+
+def local_l_factor(satake, bound, sign=1):
+    """Series of det(1 - x r(class))^-1 truncated at x-degree `bound`."""
+    return series_expand(1, l_factor_denominator(satake, sign), {"x"}, bound)
+
+
+def inner_integral(vc, bound):
+    """The shell-summed inner integral as a truncated series in x.
+
+    Only defined for vc >= -1 (below that the exact value is a genuine
+    Laurent object in x; use inner_integral_shell / inner_integral_closed).
+    """
+    poly = inner_integral_shell(vc)
+    if vc < -1:
+        raise ValueError("inner integral is not a power series for v(c) < -1")
+    return TruncatedSeries(poly, {"x"}, bound)
 
 
 def split_trivial():

@@ -19,25 +19,29 @@ from g2adjoint.orbits import (
     sphere_count,
     verify_orbits,
 )
+from test_g2model import coroot_element
+
+
+def reduce_mod(matrix, p):
+    """A RingMatrix of integer constants reduced mod p, as a numpy array."""
+    return np.array(
+        [
+            [
+                int(e.as_fraction()) % p if isinstance(e, LaurentPoly) else int(e) % p
+                for e in row
+            ]
+            for row in matrix.entries
+        ],
+        dtype=np.int64,
+    )
 
 
 def test_one_param_mod_matches_symbolic():
-    p = 11
-    for param in ROOT_PARAMS:
-        g = one_param(param, LaurentPoly.constant(3))
-        expected = np.array(
-            [
-                [
-                    int(g[i, j].as_fraction()) % p
-                    if isinstance(g[i, j], LaurentPoly)
-                    else int(g[i, j]) % p
-                    for j in range(8)
-                ]
-                for i in range(8)
-            ],
-            dtype=np.int64,
-        )
-        assert (one_param_mod(param, 3, p) == expected).all(), param
+    for p in (5, 7):
+        for param in ROOT_PARAMS:
+            for t in range(p):
+                expected = reduce_mod(one_param(param, LaurentPoly.constant(t)), p)
+                assert (one_param_mod(param, t, p) == expected).all(), (p, param, t)
 
 
 def test_coroot_elements_are_diagonal_mod_p():
@@ -47,6 +51,24 @@ def test_coroot_elements_are_diagonal_mod_p():
                 h = coroot_mod(param, t, q)
                 off = h - np.diag(np.diag(h))
                 assert not off.any(), (q, param, t)
+                symbolic = coroot_element(
+                    param, LaurentPoly.constant(t), LaurentPoly.constant(pow(t, -1, q))
+                )
+                assert (h == reduce_mod(symbolic, q)).all(), (q, param, t)
+
+
+def test_generator_setup_makes_no_kernel_call(monkeypatch):
+    # the orbit suite builds its generators from integer root matrices;
+    # the orbits_q7 benchmark times it on the premise that it never
+    # touches the exact kernel
+    def refuse(*args, **kwargs):
+        raise AssertionError("LaurentPoly arithmetic during generator set-up")
+
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__", "subs"):
+        monkeypatch.setattr(LaurentPoly, name, refuse)
+    for which in ("full", "parabolic"):
+        assert group_generators(5, which)
+        assert bfs_generators(5, which)
 
 
 def test_generator_counts():

@@ -2,11 +2,12 @@
 Gelfand-Tsetlin and bialternant oracles, the adjoint/Frobenius matrices,
 plethysm, and the greedy irreducible decomposition."""
 
-import random
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from g2adjoint.algebra import LaurentPoly, NonInvertibleError, RingMatrix
 from g2adjoint.reps import (
@@ -25,8 +26,14 @@ from g2adjoint.reps import (
     sl2_char,
     sym,
     sym_power_char,
-    weyl_dimension,
 )
+
+# Derandomized property tests: the same cases on every run.
+REPS = settings(max_examples=10, deadline=None, derandomize=True, database=None)
+
+
+def weyl_dimension(m1, m2):
+    return (m1 + 1) * (m2 + 1) * (m1 + m2 + 2) // 2
 
 
 def gt_character(m1, m2):
@@ -211,29 +218,27 @@ def test_sl2_char_values():
         sl2_char(-1, z)
 
 
-def test_sl2_clebsch_gordan():
+@REPS
+@given(st.integers(0, 5), st.integers(0, 5))
+def test_sl2_clebsch_gordan(k1, k2):
     z = sym("z")
-    rng = random.Random(5)
-    for _ in range(6):
-        k1, k2 = rng.randint(0, 5), rng.randint(0, 5)
-        lhs = sl2_char(k1, z) * sl2_char(k2, z)
-        rhs = LaurentPoly.zero()
-        for i in range(min(k1, k2) + 1):
-            rhs = rhs + sl2_char(k1 + k2 - 2 * i, z)
-        assert lhs == rhs, (k1, k2)
+    lhs = sl2_char(k1, z) * sl2_char(k2, z)
+    rhs = LaurentPoly.zero()
+    for i in range(min(k1, k2) + 1):
+        rhs = rhs + sl2_char(k1 + k2 - 2 * i, z)
+    assert lhs == rhs
 
 
 def frac_matrix(rows):
     return RingMatrix([[Fraction(x) for x in row] for row in rows])
 
 
-def random_invertible(rng):
-    while True:
-        m = frac_matrix(
-            [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
-        )
-        if m.det() != 0:
-            return m
+row3 = st.lists(st.integers(-3, 3), min_size=3, max_size=3)
+invertible = (
+    st.lists(row3, min_size=3, max_size=3)
+    .map(frac_matrix)
+    .filter(lambda m: m.det() != 0)
+)
 
 
 def matrix_inverse(m):
@@ -257,29 +262,26 @@ def test_r_matrix_rejects_singular():
         r_matrix(frac_matrix([[1, 0, 0], [0, 1, 0], [1, 1, 0]]))
 
 
-def test_r_is_homomorphism_on_random_pairs():
-    rng = random.Random(77)
-    for _ in range(6):
-        g, h = random_invertible(rng), random_invertible(rng)
-        assert r_matrix(g) * r_matrix(h) == r_matrix(g * h)
+@REPS
+@given(invertible, invertible)
+def test_r_is_homomorphism_on_random_pairs(g, h):
+    assert r_matrix(g) * r_matrix(h) == r_matrix(g * h)
 
 
-def test_r_has_determinant_one():
-    rng = random.Random(78)
-    for _ in range(4):
-        g = random_invertible(rng)
-        assert r_matrix(g).det() == 1
+@REPS
+@given(invertible)
+def test_r_has_determinant_one(g):
+    assert r_matrix(g).det() == 1
 
 
-def test_semidirect_product_law():
+@REPS
+@given(invertible, invertible)
+def test_semidirect_product_law(g, h):
     # r((g, Fr)) r((h, Fr)) = r(g _th^-1) for the composite action
-    rng = random.Random(79)
     fr = frobenius_matrix()
-    for _ in range(5):
-        g, h = random_invertible(rng), random_invertible(rng)
-        lhs = (r_matrix(g) * fr) * (r_matrix(h) * fr)
-        rhs = r_matrix(g * other_transpose(matrix_inverse(h)))
-        assert lhs == rhs
+    lhs = (r_matrix(g) * fr) * (r_matrix(h) * fr)
+    rhs = r_matrix(g * other_transpose(matrix_inverse(h)))
+    assert lhs == rhs
 
 
 def test_frobenius_involution_and_twist():
@@ -341,16 +343,20 @@ def test_sym_power_basics():
         sym_power_char(base, -1)
 
 
-def test_schur_expand_roundtrip():
-    rng = random.Random(11)
-    for _ in range(5):
-        mults = {}
-        for _ in range(rng.randint(1, 4)):
-            mults[(rng.randint(0, 3), rng.randint(0, 3))] = rng.randint(1, 3)
-        char = LaurentPoly.zero()
-        for (m1, m2), m in mults.items():
-            char = char + m * schur_char(m1, m2)
-        assert schur_expand(char) == mults
+@REPS
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)),
+        st.integers(1, 3),
+        min_size=1,
+        max_size=4,
+    )
+)
+def test_schur_expand_roundtrip(mults):
+    char = LaurentPoly.zero()
+    for (m1, m2), m in mults.items():
+        char = char + m * schur_char(m1, m2)
+    assert schur_expand(char) == mults
 
 
 def test_schur_expand_rejects_non_character():
