@@ -82,11 +82,11 @@ class LaurentPoly:
         """Wrap an already normal `terms` map without re-normalizing it.
 
         The caller guarantees that `variables` is sorted, that every
-        exponent vector is aligned with it and that every coefficient is
-        nonzero and canonical (an int, or a Fraction with denominator > 1).
-        Only variables that no term uses are dropped (as after x * x^-1).
+        exponent vector is aligned with it, that every coefficient is
+        nonzero and canonical (an int, or a Fraction with denominator > 1)
+        and that every variable is used by some term: a caller whose terms
+        can drop a variable (a cancelling sum, x * x^-1) prunes first.
         """
-        variables, terms = _prune(variables, terms)
         poly = object.__new__(cls)
         object.__setattr__(poly, "variables", variables)
         object.__setattr__(poly, "terms", terms)
@@ -196,6 +196,9 @@ class LaurentPoly:
         out = dict(a)
         for exps, coeff in b.items():
             _accumulate(out, exps, coeff)
+        # with no term merged every variable keeps the term that used it
+        if len(out) < len(a) + len(b):
+            names, out = _prune(names, out)
         return LaurentPoly._from_normal(names, out)
 
     __radd__ = __add__
@@ -235,7 +238,7 @@ class LaurentPoly:
         # with a single term in `a` every key is hit once, so none cancels
         elif len(a) > 1:
             out = {e: c for e, c in out.items() if c}
-        return LaurentPoly._from_normal(names, out)
+        return LaurentPoly._from_normal(*_prune(names, out))
 
     __rmul__ = __mul__
 
@@ -244,6 +247,8 @@ class LaurentPoly:
             return NotImplemented
         if power < 0:
             return self.unit_inverse() ** (-power)
+        if power == 0:
+            return LaurentPoly.one()
         if len(self.terms) == 1:
             (exps, coeff), = self.terms.items()
             return LaurentPoly._from_normal(
@@ -321,7 +326,7 @@ class LaurentPoly:
                             )
                         coeff = coeff * power
                 _accumulate(out, tuple(key), _canon(coeff) if scaled else coeff)
-            return LaurentPoly._from_normal(names, out)
+            return LaurentPoly._from_normal(*_prune(names, out))
         for exps, coeff in self.terms.items():
             key = [0] * len(names)
             factor = LaurentPoly.constant(coeff)
@@ -346,7 +351,7 @@ class LaurentPoly:
                 for p, e in zip(place, fexps):
                     full[p] += e
                 _accumulate(out, tuple(full), fcoeff)
-        return LaurentPoly._from_normal(names, out)
+        return LaurentPoly._from_normal(*_prune(names, out))
 
     def scale_exponents(self, factor):
         """The Adams-operation substitution v -> v^factor for every variable."""
@@ -477,9 +482,9 @@ class TruncatedSeries:
                 )
             if sum(exps[i] for i in idx) <= bound:
                 kept[exps] = coeff
-        object.__setattr__(
-            self, "poly", LaurentPoly._from_normal(poly.variables, kept)
-        )
+        if len(kept) < len(poly.terms):
+            poly = LaurentPoly._from_normal(*_prune(poly.variables, kept))
+        object.__setattr__(self, "poly", poly)
         object.__setattr__(self, "series_vars", series_vars)
         object.__setattr__(self, "bound", bound)
 
@@ -545,18 +550,22 @@ class TruncatedSeries:
             out = {e: _canon(c) for e, c in out.items() if c}
         else:
             out = {e: c for e, c in out.items() if c}
-        return self._wrap(LaurentPoly._from_normal(names, out))
+        return self._wrap(LaurentPoly._from_normal(*_prune(names, out)))
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
+        if isinstance(other, TruncatedSeries):
+            return (self.series_vars, self.bound, self.poly) == (
+                other.series_vars, other.bound, other.poly
+            )
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         return self.poly == other.poly
 
     def __hash__(self):
-        # equality compares only the polynomials, so a series equal to a
+        # equal values have equal polynomials, so a series equal to a
         # constant hashes like that constant
         return hash(self.poly)
 

@@ -9,6 +9,7 @@ usage errors and invalid values.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -88,6 +89,12 @@ def _check_values(args):
     """Reject values no suite can run with, as usage errors (exit 2)."""
     if getattr(args, "degree", 1) < 1:
         args.usage_error("--degree must be at least 1")
+    # the report is written after every suite has run, so an unwritable
+    # path is refused first
+    if args.out is not None:
+        parent = os.path.dirname(os.path.abspath(args.out))
+        if os.path.isdir(args.out) or not os.access(parent, os.W_OK):
+            args.usage_error(f"--out {args.out}: cannot write a file there")
     if hasattr(args, "q"):
         try:
             orbits._validate(args.q, args.rho)

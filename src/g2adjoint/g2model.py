@@ -17,7 +17,6 @@ domain, so this is exact).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import permutations
 
 from .algebra import (
@@ -95,8 +94,10 @@ def trilinear(u, v, w):
     return acc
 
 
-def g2_element(T1, T2, a, b, c, d, e, f, g, h, i, j, k, l):
-    """General element of the G2 Lie algebra in the 8x8 model."""
+def g2_element(T1=0, T2=0, a=0, b=0, c=0, d=0, e=0, f=0, g=0, h=0, i=0, j=0,
+               k=0, l=0):
+    """General element of the G2 Lie algebra in the 8x8 model; parameters
+    left out are 0."""
     return RingMatrix(
         [
             [T1, a, c, d, d, e, f, 0],
@@ -111,8 +112,9 @@ def g2_element(T1, T2, a, b, c, d, e, f, g, h, i, j, k, l):
     )
 
 
-def su21_element(T1, a, d, e, f, h, k, l):
-    """General element of the su(2,1) subalgebra (annihilator of v_rho)."""
+def su21_element(T1=0, a=0, d=0, e=0, f=0, h=0, k=0, l=0):
+    """General element of the su(2,1) subalgebra (annihilator of v_rho);
+    parameters left out are 0."""
     rho = sym("rho")
     return RingMatrix(
         [
@@ -128,8 +130,9 @@ def su21_element(T1, a, d, e, f, h, k, l):
     )
 
 
-def g2_generic():
-    return g2_element(*(sym(p) for p in G2_PARAMS))
+def g2_generic(**values):
+    """The G2 display in its 14 symbols, with `values` put in for some."""
+    return g2_element(**({p: sym(p) for p in G2_PARAMS} | values))
 
 
 def su21_generic():
@@ -148,7 +151,8 @@ SU21_SUBSTITUTION = {
 
 
 def g2_read_params(matrix):
-    """Read the 14 display parameters off designated entries."""
+    """Read the 14 display parameters off designated entries.  The eight
+    su(2,1) parameters sit at the same entries of the su(2,1) display."""
     t1 = matrix[0, 0]
     return {
         "T1": t1,
@@ -168,27 +172,13 @@ def g2_read_params(matrix):
     }
 
 
-def su21_read_params(matrix):
-    return {
-        "T1": matrix[0, 0],
-        "a": matrix[0, 1],
-        "d": matrix[0, 3],
-        "e": matrix[0, 5],
-        "f": matrix[0, 6],
-        "h": matrix[2, 0],
-        "l": matrix[2, 1],
-        "k": matrix[6, 0],
-    }
-
-
 def in_g2_span(matrix):
-    params = g2_read_params(matrix)
-    return matrix == g2_element(*(params[p] for p in G2_PARAMS))
+    return matrix == g2_element(**g2_read_params(matrix))
 
 
 def in_su21_span(matrix):
-    params = su21_read_params(matrix)
-    return matrix == su21_element(*(params[p] for p in SU21_PARAMS))
+    params = g2_read_params(matrix)
+    return matrix == su21_element(**{p: params[p] for p in SU21_PARAMS})
 
 
 def bracket(x, y):
@@ -198,7 +188,7 @@ def bracket(x, y):
 # -- roots ------------------------------------------------------------------
 
 ROOT_PARAMS = tuple("abcdefghijkl")
-_OPPOSITE = {
+OPPOSITE_ROOT = {
     "a": "g", "g": "a", "b": "l", "l": "b", "c": "h", "h": "c",
     "d": "i", "i": "d", "e": "j", "j": "e", "f": "k", "k": "f",
 }
@@ -208,48 +198,47 @@ def root_matrix(param):
     """Nilpotent direction obtained by switching on a single parameter."""
     if param not in ROOT_PARAMS:
         raise ValueError(f"not a root parameter: {param}")
-    values = {p: LaurentPoly.zero() for p in G2_PARAMS}
-    values[param] = LaurentPoly.one()
-    return g2_element(*(values[p] for p in G2_PARAMS))
+    return g2_element(**{param: 1})
 
 
 def torus_direction(T1, T2):
-    values = {p: LaurentPoly.zero() for p in G2_PARAMS}
-    values["T1"], values["T2"] = T1, T2
-    return g2_element(*(values[p] for p in G2_PARAMS))
+    return g2_element(T1, T2)
 
 
 SIMPLE_PARAMS = ("a", "b")  # alpha1 (short), alpha2 (long)
 PARABOLIC_PARAMS = ("a", "g", "b", "c", "d", "e", "f")  # Levi {+-alpha1} + radical
 
 
-def one_param(param, u):
-    """exp(u * E_root): the one-parameter unipotent subgroup at the root.
+def root_exp(param):
+    """(E, E^2/2) as integer matrices, E the root matrix of `param`.
 
-    The root matrices are nilpotent of order at most 3 here, and the 1/2
-    from the exponential always cancels, so entries are polynomial in u
-    with integer coefficients.
+    E^3 = 0 and E^2 is even, so exp(t E) = I + t E + t^2 (E^2/2) has
+    integer entries (Steinberg, Lectures on Chevalley Groups).
     """
     e = root_matrix(param)
-    result = RingMatrix.identity(8)
-    power = RingMatrix.identity(8)
-    scalar = LaurentPoly.one()
-    fact = 1
-    for k in range(1, 8):
-        power = power * e
-        if all(is_zero(power[i, j]) for i in range(8) for j in range(8)):
-            break
-        fact *= k
-        scalar = scalar * u
-        result = result + power.scale(scalar * Fraction(1, fact))
-    return result
+    e2 = e * e
+    if any(x for row in (e2 * e).entries for x in row) or any(
+        x % 2 for row in e2.entries for x in row
+    ):
+        raise ArithmeticError(f"non-integral exponential at {param}")
+    return e, RingMatrix([[x // 2 for x in row] for row in e2.entries])
+
+
+ROOT_EXP = {param: root_exp(param) for param in ROOT_PARAMS}
+
+
+def one_param(param, u):
+    """exp(u * E_root) = I + u E + u^2 (E^2/2): the one-parameter unipotent
+    subgroup at the root."""
+    e, half_e2 = ROOT_EXP[param]
+    return RingMatrix.identity(8) + e.scale(u) + half_e2.scale(u * u)
 
 
 def chevalley_n(param, t, t_inverse):
     """n_root(t) = x_root(t) x_{-root}(-1/t) x_root(t)."""
     return (
         one_param(param, t)
-        * one_param(_OPPOSITE[param], -t_inverse)
+        * one_param(OPPOSITE_ROOT[param], -t_inverse)
         * one_param(param, t)
     )
 
@@ -371,7 +360,7 @@ def iwasawa_case2():
     t = _levi_torus(
         n_poly * brho_inv, b * rho, b * rho * n_inv, brho_inv
     )
-    k = chevalley_n("a", LaurentPoly.one(), LaurentPoly.one()) * one_param("a", u1)
+    k = weyl_rep("a") * one_param("a", u1)
     return u, t, k
 
 
@@ -491,10 +480,8 @@ def verify_lie_models():
         counterexample=None if bad is None else f"basis triple {bad}",
     )
 
-    generators = {p: root_matrix(p) for p in ROOT_PARAMS}
-    generators["T1"] = torus_direction(LaurentPoly.one(), LaurentPoly.zero())
-    generators["T2"] = torus_direction(LaurentPoly.zero(), LaurentPoly.one())
-    directions = [generators[p] for p in G2_PARAMS]
+    generators = {p: g2_element(**{p: 1}) for p in G2_PARAMS}
+    directions = list(generators.values())
     closed = all(
         in_g2_span(bracket(di, dj))
         for a_, di in enumerate(directions)
@@ -520,7 +507,7 @@ def verify_lie_models():
         "X . v_rho = 0 identically in the 8 parameters",
     )
 
-    substituted = g2_generic_with(SU21_SUBSTITUTION)
+    substituted = g2_generic(**SU21_SUBSTITUTION)
     report.check(
         "su21-equals-constrained-g2",
         substituted == y,
@@ -547,11 +534,7 @@ def verify_lie_models():
         "so the annihilator has dimension 14 - 6 = 8",
     )
 
-    su_dirs = []
-    for p in SU21_PARAMS:
-        values = {q: LaurentPoly.zero() for q in SU21_PARAMS}
-        values[p] = LaurentPoly.one()
-        su_dirs.append(su21_element(*(values[q] for q in SU21_PARAMS)))
+    su_dirs = [su21_element(**{p: 1}) for p in SU21_PARAMS]
     su_closed = all(
         in_su21_span(bracket(di, dj))
         for a_, di in enumerate(su_dirs)
@@ -563,12 +546,6 @@ def verify_lie_models():
         "all 28 brackets of the 8 directions stay in the su21 span",
     )
     return report
-
-
-def g2_generic_with(substitution):
-    values = {p: sym(p) for p in G2_PARAMS}
-    values.update(substitution)
-    return g2_element(*(values[p] for p in G2_PARAMS))
 
 
 def verify_iwasawa():
@@ -642,13 +619,8 @@ def verify_iwasawa():
     # a = 0 specialization of case 2 stays a valid factorization
     def at_a0(m):
         return RingMatrix(
-            [
-                [
-                    (m[i, j].subs({"a": 0}) if isinstance(m[i, j], LaurentPoly) else m[i, j])
-                    for j in range(8)
-                ]
-                for i in range(8)
-            ]
+            [[x.subs({"a": 0}) if isinstance(x, LaurentPoly) else x for x in row]
+             for row in m.entries]
         )
 
     mismatch = matrices_equal_mod(
@@ -664,40 +636,26 @@ def verify_iwasawa():
 
     w2 = weyl_rep("b")
     w2_inv = chevalley_n("b", LaurentPoly.constant(-1), LaurentPoly.constant(-1))
-    conj = w2 * u1 * w2_inv
-    report.check(
-        "w2-conjugates-case1-u-into-P",
-        in_parabolic(conj),
-        "w2 u' w2^{-1} lands in the block-upper pattern of P",
-    )
-    xu = one_param("b", sym("u"))
-    xu_inv = one_param("b", -sym("u"))
-    u1_inv = one_param("a", sym("b") * sym("a", -1))
-    commutator = xu * u1 * xu_inv * u1_inv
-    report.check(
-        "w2-conjugates-commutator-into-P",
-        in_parabolic(w2 * commutator * w2_inv),
-        "w2 [x_alpha2(u), u'] w2^{-1} lands in P, symbolically in u, a, b",
-    )
-    conj2 = w2 * u2 * w2_inv
-    report.check(
-        "w2-conjugates-case2-u-into-P",
-        in_parabolic(conj2),
-        "same for the derived case-2 u'",
-    )
-    u2_inv = one_param("a", sym("a") * sym("b", -1) * sym("rho", -1))
-    commutator2 = xu * u2 * xu_inv * u2_inv
-    report.check(
-        "w2-conjugates-case2-commutator-into-P",
-        in_parabolic(w2 * commutator2 * w2_inv),
-        "and for w2 [x_alpha2(u), u'] w2^{-1} with the case-2 u'",
-    )
-    xd = one_param("d", sym("u"))
-    report.check(
-        "w2-absorbs-x-2a1+a2",
-        in_parabolic(w2 * xd * w2_inv),
-        "w2 x_{2 alpha1 + alpha2}(u) w2^{-1} is a one-parameter element in P",
-    )
+    u = sym("u")
+
+    def commutator(u_prime, t):
+        """[x_alpha2(u), u'] for u' = x_alpha1(t)."""
+        return one_param("b", u) * u_prime * one_param("b", -u) * one_param("a", -t)
+
+    for name, matrix, detail in (
+        ("w2-conjugates-case1-u-into-P", u1,
+         "w2 u' w2^{-1} lands in the block-upper pattern of P"),
+        ("w2-conjugates-commutator-into-P",
+         commutator(u1, -sym("b") * sym("a", -1)),
+         "w2 [x_alpha2(u), u'] w2^{-1} lands in P, symbolically in u, a, b"),
+        ("w2-conjugates-case2-u-into-P", u2, "same for the derived case-2 u'"),
+        ("w2-conjugates-case2-commutator-into-P",
+         commutator(u2, -sym("a") * sym("b", -1) * sym("rho", -1)),
+         "and for w2 [x_alpha2(u), u'] w2^{-1} with the case-2 u'"),
+        ("w2-absorbs-x-2a1+a2", one_param("d", u),
+         "w2 x_{2 alpha1 + alpha2}(u) w2^{-1} is a one-parameter element in P"),
+    ):
+        report.check(name, in_parabolic(w2 * matrix * w2_inv), detail)
 
     exps = modulus_characters(1, 1)
     report.check(

@@ -20,35 +20,23 @@ from __future__ import annotations
 import numpy as np
 
 from .g2model import (
-    G2_PARAMS,
+    OPPOSITE_ROOT,
     PARABOLIC_PARAMS,
+    ROOT_EXP,
     ROOT_PARAMS,
     SIMPLE_PARAMS,
     TRILINEAR,
-    g2_element,
 )
 from .report import VerificationReport, merge_reports
 
 ORBIT_CAP = 10 ** 7
 
 
-def _root_int(param):
-    """(E, E^2/2) as int64 arrays, E the root matrix of `param`.
-
-    E^3 = 0 and E^2 is even, so exp(t E) = I + t E + t^2 (E^2/2) has
-    integer entries (Steinberg, Lectures on Chevalley Groups).
-    """
-    values = dict.fromkeys(G2_PARAMS, 0)
-    values[param] = 1
-    m = g2_element(*(values[p] for p in G2_PARAMS))
-    e = np.array([[m[i, j] for j in range(8)] for i in range(8)], dtype=np.int64)
-    e2 = e @ e
-    if (e2 @ e).any() or (e2 % 2).any():
-        raise ArithmeticError(f"non-integral exponential at {param}")
-    return e, e2 // 2
-
-
-_ROOT_INT = {param: _root_int(param) for param in ROOT_PARAMS}
+# g2model's integer (E, E^2/2) of every root, as int64 arrays
+_ROOT_INT = {
+    param: tuple(np.array(m.entries, dtype=np.int64) for m in pair)
+    for param, pair in ROOT_EXP.items()
+}
 
 
 def one_param_mod(param, t, p):
@@ -59,10 +47,9 @@ def one_param_mod(param, t, p):
 
 
 def _n_mod(param, t, p):
-    opposite = {"a": "g", "b": "l"}[param]
     t_inv = pow(int(t), p - 2, p)
     x1 = one_param_mod(param, t, p)
-    x2 = one_param_mod(opposite, (-t_inv) % p, p)
+    x2 = one_param_mod(OPPOSITE_ROOT[param], (-t_inv) % p, p)
     return ((x1 @ x2 % p) @ x1) % p
 
 
@@ -327,10 +314,8 @@ def double_coset_check(q, rho, cap=ORBIT_CAP):
     orbit1 = orbit(part1[0], parabolic_gens, q, cap) if len(part1) else part1
     two_orbits = (
         len(part1) > 0
-        and len(orbit0) == len(part0)
-        and (orbit0 == part0).all()
-        and len(orbit1) == len(part1)
-        and (orbit1 == part1).all()
+        and np.array_equal(orbit0, part0)
+        and np.array_equal(orbit1, part1)
     )
     report.check(
         "exactly-two-parabolic-orbits",
@@ -347,7 +332,7 @@ def double_coset_check(q, rho, cap=ORBIT_CAP):
     reversed_orb = orbit(v_rho, gens[::-1], q, cap)
     report.check(
         "orbit-is-order-independent",
-        len(reversed_orb) == size and (reversed_orb == orb).all(),
+        np.array_equal(reversed_orb, orb),
         "reversed generator discipline yields the identical set",
     )
     return report

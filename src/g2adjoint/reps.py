@@ -141,19 +141,11 @@ def frobenius_matrix(sign=1):
 def r_matrix(satake, sign=1):
     """The 8x8 matrix of the Satake class under the adjoint representation
     (composed with the Frobenius action in the non-split case)."""
-    if isinstance(satake, SplitClass):
+    if isinstance(satake, (SplitClass, NonSplitClass)):
         g = satake.diagonal()
-        g_inv = RingMatrix.diagonal(
-            [satake.alpha1.unit_inverse(), satake.alpha2.unit_inverse(),
-             satake.alpha1 * satake.alpha2]
-        )
-        return conjugation_matrix(g, g_inv)
-    if isinstance(satake, NonSplitClass):
-        g = satake.diagonal()
-        g_inv = RingMatrix.diagonal(
-            [satake.mu.unit_inverse(), LaurentPoly.one(), satake.mu]
-        )
-        return conjugation_matrix(g, g_inv) * frobenius_matrix(sign)
+        g_inv = RingMatrix.diagonal([g[i, i].unit_inverse() for i in range(3)])
+        r = conjugation_matrix(g, g_inv)
+        return r if isinstance(satake, SplitClass) else r * frobenius_matrix(sign)
     g = satake  # explicit invertible 3x3 over Fractions
     det = g.det()
     if det == 0:
@@ -242,28 +234,22 @@ def schur_expand(char):
     remaining = char
     out = {}
     while not remaining.is_zero():
-        best = None
+        weights = []
         for exps, coeff in remaining.terms.items():
             e = dict(zip(remaining.variables, exps))
             u, w = e.get("alpha1", 0), e.get("alpha2", 0)
-            phi = 3 * u + w
-            if best is None or phi > best[0]:
-                best = (phi, u, w, coeff)
+            weights.append((3 * u + w, u, w, coeff))
+        best = max(weights, key=lambda weight: weight[0])
         # the maximal height is attained at a dominant monomial for any
         # genuine character; prefer a dominant representative
-        phi_max = best[0]
-        dominant = None
-        for exps, coeff in remaining.terms.items():
-            e = dict(zip(remaining.variables, exps))
-            u, w = e.get("alpha1", 0), e.get("alpha2", 0)
-            if 3 * u + w == phi_max and u >= w >= 0:
-                dominant = (u, w, coeff)
-                break
+        dominant = next(
+            (x for x in weights if x[0] == best[0] and x[1] >= x[2] >= 0), None
+        )
         if dominant is None:
             raise ValueError(
                 f"not a character: maximal monomial is not dominant ({best})"
             )
-        u, w, coeff = dominant
+        _, u, w, coeff = dominant
         if coeff.denominator != 1 or coeff <= 0:
             raise ValueError(f"negative or fractional multiplicity {coeff}")
         m1, m2 = u - w, w

@@ -126,6 +126,17 @@ def test_arithmetic_results_are_normal(p, q, c):
 
 
 @KERNEL
+@given(polys(), polys())
+def test_truncation_results_are_normal(p, q):
+    # truncation drops the x^3 q terms, and the product drops x^2 q^2: the
+    # variables of q may vanish from either result
+    x = v("x")
+    assert_normal(TruncatedSeries(p + x ** 3 * q, {"x"}, 2).poly)
+    s = TruncatedSeries(p + x * q, {"x"}, 1)
+    assert_normal((s * s).poly)
+
+
+@KERNEL
 @given(polys(max_terms=3), st.integers(0, 4), units, st.integers(-3, 3))
 def test_powers_are_normal(p, k, u, j):
     assert_normal(p ** k)
@@ -505,6 +516,15 @@ def test_truncated_series_incompatible_bounds():
     b = TruncatedSeries(v("X"), {"X"}, 4)
     with pytest.raises(ValueError):
         a + b
+
+
+def test_truncated_series_with_other_bounds_are_unequal():
+    a = TruncatedSeries(v("X"), {"X"}, 3)
+    b = TruncatedSeries(v("X"), {"X"}, 4)
+    c = TruncatedSeries(v("X"), {"X", "Y"}, 3)
+    assert a != b and a != c
+    assert a not in [b, c]
+    assert a == TruncatedSeries(v("X"), {"X"}, 3)
 
 
 def test_truncated_series_bound_zero():

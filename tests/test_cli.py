@@ -38,6 +38,7 @@ def test_unknown_flag_exits_2():
         ["verify", "orbits", "--rho", "0"],
         ["verify", "orbits", "--q", "17"],
         ["verify", "all", "--q", "7", "--rho", "14"],
+        ["verify", "lie", "--out", "/nonexistent/dir/x.json"],
     ],
     ids=lambda argv: " ".join(argv[1:]),
 )

@@ -2,6 +2,7 @@
 Iwasawa factorizations, and the E^3 basis identification."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -106,6 +107,19 @@ ROOTS = _compute_roots()
 PARAM_OF_ROOT = {coords: p for p, coords in ROOTS.items()}
 
 
+def exp_series(x, u):
+    """exp(u X) for a nilpotent matrix X, summed until a power vanishes:
+    the test oracle for the closed form of one_param."""
+    result = RingMatrix.identity(8)
+    power = RingMatrix.identity(8)
+    for k in range(1, 9):
+        power = power * x
+        if is_zero_matrix(power):
+            return result
+        result = result + power.scale(u ** k * Fraction(1, factorial(k)))
+    raise ArithmeticError("not nilpotent")
+
+
 def basis_vector(i):
     return [1 if j == i else 0 for j in range(8)]
 
@@ -187,6 +201,12 @@ def test_bracket_grading():
                 assert is_zero_matrix(br), (p, q)
 
 
+def test_one_param_is_the_power_series_exponential():
+    u = sym("u")
+    for p in ROOT_PARAMS:
+        assert one_param(p, u) == exp_series(root_matrix(p), u), p
+
+
 def test_one_param_basics():
     for p in ROOT_PARAMS:
         assert one_param(p, LaurentPoly.zero()) == RingMatrix.identity(8)
@@ -231,18 +251,7 @@ def test_su21_d_direction_matches_root_coordinates():
     # representatives (with u -> -u)
     u, rho = sym("u"), sym("rho")
     x = root_matrix("d") - root_matrix("b").scale(rho)
-    exp = RingMatrix.identity(8)
-    power = RingMatrix.identity(8)
-    fact = 1
-    scalar = LaurentPoly.one()
-    for k in range(1, 8):
-        power = power * x
-        if is_zero_matrix(power):
-            break
-        fact *= k
-        scalar = scalar * (-u)
-        exp = exp + power.scale(scalar * Fraction(1, fact))
-    assert exp == one_param("b", rho * u) * one_param("d", -u)
+    assert exp_series(x, -u) == one_param("b", rho * u) * one_param("d", -u)
 
 
 def test_n2_directions_abelian_and_stabilize():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from g2adjoint.algebra import LaurentPoly
-from g2adjoint.g2model import ROOT_PARAMS, one_param
+from g2adjoint.g2model import ROOT_EXP, ROOT_PARAMS, one_param, root_exp
 from g2adjoint.orbits import (
     bfs_generators,
     companion_rho,
@@ -58,14 +58,16 @@ def test_coroot_elements_are_diagonal_mod_p():
 
 
 def test_generator_setup_makes_no_kernel_call(monkeypatch):
-    # the orbit suite builds its generators from integer root matrices;
-    # the orbits_q7 benchmark times it on the premise that it never
-    # touches the exact kernel
+    # the orbit suite builds its generators from g2model's integer root
+    # exponentials; the orbits_q7 benchmark times it on the premise that
+    # neither those tables nor the generators touch the exact kernel
     def refuse(*args, **kwargs):
         raise AssertionError("LaurentPoly arithmetic during generator set-up")
 
     for name in ("__add__", "__radd__", "__mul__", "__rmul__", "subs"):
         monkeypatch.setattr(LaurentPoly, name, refuse)
+    for param in ROOT_PARAMS:
+        assert root_exp(param) == ROOT_EXP[param]
     for which in ("full", "parabolic"):
         assert group_generators(5, which)
         assert bfs_generators(5, which)
