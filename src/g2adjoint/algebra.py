@@ -238,7 +238,12 @@ class LaurentPoly:
         # with a single term in `a` every key is hit once, so none cancels
         elif len(a) > 1:
             out = {e: c for e, c in out.items() if c}
-        return LaurentPoly._from_normal(*_prune(names, out))
+        # a variable with only nonnegative exponents keeps its top degree,
+        # the product of the operands' top coefficients; so only a zero
+        # product or a negative exponent (x^-1 * x) can drop one
+        if not out or _has_negative(a) or _has_negative(b):
+            names, out = _prune(names, out)
+        return LaurentPoly._from_normal(names, out)
 
     __rmul__ = __mul__
 
@@ -404,6 +409,11 @@ def _prune(variables, terms):
         tuple(variables[i] for i in keep),
         {tuple(e[i] for i in keep): c for e, c in terms.items()},
     )
+
+
+def _has_negative(terms):
+    """Whether some exponent vector of `terms` has a negative entry."""
+    return any(e < 0 for exps in terms for e in exps)
 
 
 def _accumulate(terms, exps, coeff):
@@ -713,7 +723,10 @@ class RingMatrix:
         return RingMatrix([[-a for a in row] for row in self.entries])
 
     def scale(self, scalar):
-        return RingMatrix([[scalar * a for a in row] for row in self.entries])
+        # a zero entry stays as it is, without a product
+        return RingMatrix(
+            [[a if is_zero(a) else scalar * a for a in row] for row in self.entries]
+        )
 
     def __mul__(self, other):
         if not isinstance(other, RingMatrix):

@@ -7,12 +7,14 @@ parabolic orbits separated by the v3-block predicate.  This is a
 desk-scale analogue over F_q of the corresponding statement over a number
 field, and the report labels it as such.
 
-Vectors are numpy int64 rows mod p.  The visited set is a sorted array of
-int64 keys (the base-p digits of a vector, v0 most significant), so memory
-grows with the orbit, the closure is exactly order-independent and the
-sorted keys decode to lexicographically sorted vectors.  A (q, rho) whose
-norm sphere, an a priori bound on the orbit, exceeds ORBIT_CAP is refused
-before any BFS.
+Vectors are numpy int64 rows mod p.  Every orbit lies in V0 = v0^perp =
+{v3 = v4}, so a vector is indexed by its key, the base-p digits of
+(v0, v1, v2, v3, v5, v6, v7) with v0 most significant; key order is the
+lexicographic order of the vectors.  A BFS marks its orbit in an
+occupancy map of p^7 bytes, one per key, so the closure is a set (hence
+order-independent), and the partition and every comparison of the check
+are read off maps without decoding the orbit.  ORBIT_CAP bounds the bytes
+of one map; a q over it is refused before any BFS.
 """
 
 from __future__ import annotations
@@ -29,7 +31,11 @@ from .g2model import (
 )
 from .report import VerificationReport, merge_reports
 
-ORBIT_CAP = 10 ** 7
+# bytes of one occupancy map: q = 17 (391 MB) runs, q = 19 (852 MB) does not
+ORBIT_CAP = 2 ** 29
+# vectors per BFS block, and keys per chunk where a map is read or compared
+_BLOCK = 1 << 14
+_CHUNK = 1 << 18
 
 
 # g2model's integer (E, E^2/2) of every root, as int64 arrays
@@ -71,22 +77,17 @@ def _is_prime(n):
 
 def _validate(q, rho, cap=ORBIT_CAP):
     """Refuse a (q, rho) the orbit suite cannot run, before any BFS."""
-    # The norm sphere bounds the orbit.  It has q^6 +- q^3 > q^6 / 2 points
-    # and sphere_count takes q^2 steps, so a q with q^6 > 2 cap is refused
-    # on the estimate q^6 before it is counted or tested for primality.
-    size = q ** 6
-    if size <= 2 * cap:
-        if not _is_prime(q):
-            raise ValueError(f"{q} is not prime")
-        if q in (2, 3) or rho % q == 0:
-            raise ValueError("need q coprime to 6*rho")
-        size = sphere_count(q, rho % q)
-    if size > cap:
+    # every BFS allocates an occupancy map of q^7 bytes; bounding it first
+    # refuses a huge q before it is tested for primality
+    if q ** 7 > cap:
         raise ValueError(
-            f"the orbit may fill the norm sphere of about {size} vectors, "
-            f"over the cap of {cap}; its int64 keys alone would take "
-            f"{8 * size / 2 ** 20:.0f} MB"
+            f"the orbit map of V0 takes q^7 = {q ** 7} bytes "
+            f"({q ** 7 / 2 ** 20:.0f} MB), over the cap of {cap}"
         )
+    if not _is_prime(q):
+        raise ValueError(f"{q} is not prime")
+    if q in (2, 3) or rho % q == 0:
+        raise ValueError("need q coprime to 6*rho")
 
 
 def group_generators(q, which="full"):
@@ -159,46 +160,128 @@ def generator_invariants_hold(gens, q):
     return bool(preserves_j and fixes_v0 and (pulled == t % q).all())
 
 
-def _decode(keys, p):
-    """Vectors (int64 rows) of base-p keys, v0 the most significant digit."""
+# The coordinates that index V0 = {v3 = v4}, in key order; v4 is read as v3
+_V0 = [0, 1, 2, 3, 5, 6, 7]
+
+
+def _on_v0(g, p):
+    """(g on V0 as a 7x7 matrix over the coordinates _V0, whether g maps
+    V0 into V0, that is whether rows v3 and v4 of g agree on V0)."""
+    cols = g[:, _V0] % p
+    cols[:, 3] = (g[:, 3] + g[:, 4]) % p
+    return cols[_V0], bool((cols[3] == cols[4]).all())
+
+
+def _vectors(keys, p):
+    """The V0 vectors (int64 rows of length 8) of an array of keys."""
     out = np.empty((len(keys), 8), dtype=np.int64)
-    for i in range(7, -1, -1):
+    for i in _V0[::-1]:
         keys, out[:, i] = np.divmod(keys, p)
+    out[:, 4] = out[:, 3]
     return out
 
 
-def _unique_sorted(keys):
-    """Sorted distinct values.  np.unique took 70 times as long as np.sort
-    on 4M int64 keys (numpy 2.4)."""
-    keys = np.sort(keys)
-    keep = np.ones(len(keys), dtype=bool)
-    keep[1:] = keys[1:] != keys[:-1]
-    return keys[keep]
+class OrbitMap:
+    """An orbit in V0 as an occupancy map: `seen[key]` holds for the keys
+    of its vectors, and len() is its size."""
+
+    __slots__ = ("seen", "size", "p")
+
+    def __init__(self, seen, size, p):
+        self.seen, self.size, self.p = seen, size, p
+
+    def __len__(self):
+        return self.size
+
+    def vectors(self, chunk=_CHUNK):
+        """The orbit's vectors in lexicographic order, a chunk of keys at
+        a time, so no decoded copy of the whole orbit is held."""
+        for lo in range(0, len(self.seen), chunk):
+            yield _vectors(np.flatnonzero(self.seen[lo:lo + chunk]) + lo, self.p)
+
+
+def _blocks(parts):
+    """Pop the (packed vectors, keys) parts off the list, joined into
+    blocks of at most _BLOCK vectors, so each part is freed once used."""
+    parts.reverse()
+    while parts:
+        group = [parts.pop()]
+        size = len(group[0][1])
+        while parts and size + len(parts[-1][1]) <= _BLOCK:
+            size += len(parts[-1][1])
+            group.append(parts.pop())
+        yield tuple(np.concatenate(column) for column in zip(*group))
 
 
 def orbit(start, gens, p, cap=ORBIT_CAP):
-    """Closure of {start} under left multiplication by gens, as an array
-    of vectors (lexicographically sorted, hence order-independent).
+    """Closure of {start} under left multiplication by gens, as an
+    OrbitMap over the p^7 keys of V0 (one byte each).
 
-    The visited set is a sorted array of int64 keys (so p^8 < 2^63), and
-    memory grows with the orbit; more than `cap` vectors raise RuntimeError.
+    start must lie in V0 and every generator map V0 into V0 (ValueError
+    otherwise); a map of more than `cap` bytes raises RuntimeError before
+    it is allocated.  A frontier vector is its 7 V0 digits as uint8 plus
+    a zero byte, viewed as one uint64 so that rows gather fast, and is
+    kept with its int64 key.  Each generator changes only some digits: a
+    step computes those rows (in float64, exact for p^7 < 2^53) and moves
+    the key by their difference.  Membership and marking are one fancy
+    index each, before anything is appended, and each generator is
+    injective, so the frontier never holds a vector twice.  Nothing is
+    decoded, sorted or searched, and the map is a set, hence the same
+    for any order of the generators.
     """
-    pows = p ** np.arange(7, -1, -1, dtype=np.int64)
-    start = np.asarray(start, dtype=np.int64).reshape(1, 8) % p
-    seen = start @ pows
-    frontier = start
-    while len(frontier):
+    if p ** 7 > cap:
+        raise RuntimeError(f"orbit map of {p ** 7} bytes exceeds cap {cap}")
+    pows = p ** np.arange(6, -1, -1, dtype=np.int64)
+    start = np.asarray(start, dtype=np.int64) % p
+    if start[3] != start[4]:
+        raise ValueError("start vector is not in V0")
+    eye = np.eye(7, dtype=np.int64)
+    steps = []
+    for g in gens:
+        m, into_v0 = _on_v0(g, p)
+        if not into_v0:
+            raise ValueError("a generator does not map V0 into V0")
+        rows = np.flatnonzero((m != eye).any(axis=1))
+        # on the padded vector: the changed rows, and the old rows' key part
+        mt = np.zeros((8, len(rows)))
+        mt[:7] = m[rows].T
+        old = np.zeros(8)
+        old[rows] = pows[rows]
+        steps.append((rows, mt, pows[rows].astype(np.float64), old))
+    vec = np.zeros(8, dtype=np.uint8)
+    vec[:7] = start[_V0]
+    keys = np.array([start[_V0] @ pows])
+    seen = np.zeros(p ** 7, dtype=bool)
+    seen[keys] = True
+    size = 1
+    frontier = [(vec.view(np.uint64), keys)]
+    while frontier:
         parts = []
-        for g in gens:
-            keys = _unique_sorted(frontier @ g.T % p @ pows)
-            pos = np.searchsorted(seen, keys).clip(max=len(seen) - 1)
-            parts.append(keys[seen[pos] != keys])
-        fresh = _unique_sorted(np.concatenate(parts))
-        if len(seen) + len(fresh) > cap:
-            raise RuntimeError(f"orbit exceeded cap {cap}")
-        seen = np.insert(seen, np.searchsorted(seen, fresh), fresh)
-        frontier = _decode(fresh, p)
-    return _decode(seen, p)
+        for packed, keys in _blocks(frontier):
+            wide = packed.view(np.uint8).reshape(-1, 8).astype(np.float64)
+            for rows, mt, weights, old in steps:
+                new = wide @ mt
+                new -= np.floor(new / p) * p
+                images = keys + (new @ weights - wide @ old).astype(np.int64)
+                fresh = ~seen[images]
+                images = images[fresh]
+                if len(images):
+                    seen[images] = True
+                    fresh_packed = packed[fresh]
+                    fresh_packed.view(np.uint8).reshape(-1, 8)[:, rows] = new[fresh]
+                    parts.append((fresh_packed, images))
+                    size += len(images)
+        frontier = parts
+    return OrbitMap(seen, size, p)
+
+
+def _same_map(a, b):
+    """np.array_equal of two maps, a chunk at a time, so that no
+    map-sized temporary is made."""
+    return all(
+        np.array_equal(a[lo:lo + _CHUNK], b[lo:lo + _CHUNK])
+        for lo in range(0, len(a), _CHUNK)
+    )
 
 
 def _norms(vectors, p):
@@ -263,20 +346,31 @@ def double_coset_check(q, rho, cap=ORBIT_CAP):
     # and the predicate is P-stable (checked on all of P's generators), so
     # the P-orbit equals the part too.  A set that generates too little
     # can thus make a check FAIL, never PASS falsely.
+    #
+    # The BFS runs over the keys of V0 = v0^perp = {v3 = v4}: a generator
+    # that fixes v0 and preserves J preserves v0^perp, and v_rho lies in
+    # it.  Each BFS generator is also tested on V0 directly; one that
+    # leaves V0 is left out of every BFS and makes
+    # orbit-inside-norm-sphere FAIL.
     gens = bfs_generators(q, "full")
     parabolic_gens = bfs_generators(q, "parabolic")
+    leaving = sum(not _on_v0(g, q)[1] for g in gens + parabolic_gens)
+    gens, parabolic_gens = (
+        [g for g in s if _on_v0(g, q)[1]] for s in (gens, parabolic_gens)
+    )
 
     v_rho = np.array([0, 0, 1, 0, 0, rho % q, 0, 0], dtype=np.int64)
     orb = orbit(v_rho, gens, q, cap)
     size = len(orb)
 
-    norms = _norms(orb, q)
-    in_v0 = (orb[:, 3] == orb[:, 4]).all()
-    on_sphere = (norms == (2 * rho) % q).all()
+    on_sphere = all(
+        (_norms(chunk, q) == (2 * rho) % q).all() for chunk in orb.vectors()
+    )
     report.check(
         "orbit-inside-norm-sphere",
-        bool(in_v0 and on_sphere),
+        bool(on_sphere and not leaving),
         "every orbit element lies in V0 and has norm 2*rho",
+        counterexample=f"{leaving} BFS generators leave V0" if leaving else None,
     )
 
     sphere = sphere_count(q, rho % q)
@@ -292,12 +386,13 @@ def double_coset_check(q, rho, cap=ORBIT_CAP):
         f"size {size} = q^3(q^3{'+' if square else '-'}1) = {expected}",
     )
 
-    v3_zero = (orb[:, 6] == 0) & (orb[:, 7] == 0)
-    part0 = orb[v3_zero]
-    part1 = orb[~v3_zero]
+    # key % q^2 is the digits (v6, v7), so column 0 is the v3 = 0 part
+    cols = orb.seen.reshape(-1, q * q)
+    part0 = int(np.count_nonzero(cols[:, 0]))
+    part1 = size - part0
     report.info(
         "partition-sizes",
-        f"v3 = 0 part: {len(part0)}; v3 != 0 part: {len(part1)}",
+        f"v3 = 0 part: {part0}; v3 != 0 part: {part1}",
     )
 
     # P is block upper triangular, so rows 7, 8 of each parabolic
@@ -309,30 +404,41 @@ def double_coset_check(q, rho, cap=ORBIT_CAP):
         "parabolic generators have zero lower-left block",
     )
 
-    orbit0 = orbit(v_rho, parabolic_gens, q, cap)
+    def parabolic_orbit_is_part(start, zero_part):
+        """(size, equality with its part) of the H_P-orbit of start.  Its
+        map is dropped on return, so at most two maps are ever live."""
+        sub = orbit(start, parabolic_gens, q, cap)
+        sub_cols = sub.seen.reshape(-1, q * q)
+        outside = slice(1, None) if zero_part else 0
+        if sub_cols[:, outside].any():
+            return len(sub), False
+        # with the other part filled in from the G-map, the maps agree
+        # exactly when the H_P-orbit equals its part
+        sub_cols[:, outside] = cols[:, outside]
+        return len(sub), _same_map(sub.seen, orb.seen)
+
+    size0, equal0 = parabolic_orbit_is_part(v_rho, True)
     # part1 is empty only when the BFS missed the sphere; then FAIL, not crash
-    orbit1 = orbit(part1[0], parabolic_gens, q, cap) if len(part1) else part1
-    two_orbits = (
-        len(part1) > 0
-        and np.array_equal(orbit0, part0)
-        and np.array_equal(orbit1, part1)
-    )
+    size1, equal1 = 0, False
+    if part1:
+        # the lexicographically first vector of part1, as the least key
+        row = int(cols[:, 1:].any(axis=1).argmax())
+        key = row * q * q + 1 + int(cols[row, 1:].argmax())
+        size1, equal1 = parabolic_orbit_is_part(_vectors(np.array([key]), q)[0], False)
+    two_orbits = equal0 and equal1
     report.check(
         "exactly-two-parabolic-orbits",
         bool(two_orbits),
         "each part of the v3 partition is a single P(F_q)-orbit",
         counterexample=None
         if two_orbits
-        else f"P-orbit sizes {len(orbit0)}, {len(orbit1)} vs parts "
-        f"{len(part0)}, {len(part1)}",
+        else f"P-orbit sizes {size0}, {size1} vs parts {part0}, {part1}",
     )
 
-    # each is nearly the whole orbit (about 300 MB at q=13)
-    del part1, orbit1
     reversed_orb = orbit(v_rho, gens[::-1], q, cap)
     report.check(
         "orbit-is-order-independent",
-        np.array_equal(reversed_orb, orb),
+        _same_map(reversed_orb.seen, orb.seen),
         "reversed generator discipline yields the identical set",
     )
     return report

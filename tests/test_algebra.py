@@ -45,6 +45,19 @@ def test_unused_variables_are_pruned():
     assert p.variables == ("a",)
 
 
+def test_products_drop_exactly_the_vanished_variables():
+    # x^-1 * x must drop x; (x + 1)(x - 1), with no negative exponent,
+    # keeps it; a zero factor leaves no variable
+    x, y = v("x"), v("y")
+    one = v("x", -1) * x
+    assert one == 1 and one.variables == ()
+    assert (v("x", -1) * y * x).variables == ("y",)
+    square = (x + 1) * (x - 1)
+    assert square.variables == ("x",)
+    assert square.terms == {(2,): 1, (0,): -1}
+    assert ((x + y) * LaurentPoly.zero()).variables == ()
+
+
 def test_laurent_negative_exponents_and_units():
     u = LaurentPoly.monomial(Fraction(2), {"a": -1, "b": 3})
     assert u.is_unit()
@@ -423,6 +436,19 @@ def test_sparse_products_match_textbook_loop(data, dims):
     expected[i][j] = expected[i][j] + data.draw(nonzero_scalars)
     assert not product == RingMatrix(expected)
     assert product != RingMatrix(expected)
+
+
+@KERNEL
+@given(st.data(), st.integers(1, 5), st.integers(1, 5))
+def test_scale_is_the_entrywise_product(data, n, m):
+    # scale skips zero entries; each entry must still be scalar * entry
+    a = data.draw(matrices(n, m, sparse_entries))
+    scalar = data.draw(st.one_of(scalars, polys(max_terms=2)))
+    scaled = a.scale(scalar)
+    assert (scaled.rows, scaled.cols) == (n, m)
+    for got, row in zip(scaled.entries, a.entries):
+        assert all(same_entry(x, scalar * e) for x, e in zip(got, row))
+    assert scaled == RingMatrix([[scalar * e for e in row] for row in a.entries])
 
 
 def test_charpoly_examples():

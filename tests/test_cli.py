@@ -36,7 +36,7 @@ def test_unknown_flag_exits_2():
         ["verify", "orbits", "--q", "4"],
         ["verify", "orbits", "--q", "3"],
         ["verify", "orbits", "--rho", "0"],
-        ["verify", "orbits", "--q", "17"],
+        ["verify", "orbits", "--q", "23"],
         ["verify", "all", "--q", "7", "--rho", "14"],
         ["verify", "lie", "--out", "/nonexistent/dir/x.json"],
     ],

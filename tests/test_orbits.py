@@ -86,10 +86,17 @@ def test_generators_preserve_structures():
         assert generator_invariants_hold(group_generators(q, "full"), q)
 
 
+def _vectors_of(orb, chunk=1 << 10):
+    """All vectors of an OrbitMap, read in small chunks of keys."""
+    return np.concatenate(list(orb.vectors(chunk)))
+
+
 def test_orbit_under_identity_is_singleton():
     eye = np.eye(8, dtype=np.int64)
-    out = orbit(np.array([0, 0, 1, 0, 0, 2, 0, 0]), [eye], 5)
-    assert out.shape == (1, 8)
+    start = np.array([0, 0, 1, 0, 0, 2, 0, 0])
+    out = orbit(start, [eye], 5)
+    assert len(out) == 1 and np.count_nonzero(out.seen) == 1
+    assert np.array_equal(_vectors_of(out), [start])
 
 
 def test_orbit_cap_is_enforced():
@@ -187,12 +194,17 @@ def test_small_generating_sets_give_the_full_orbits(rho):
     v_rho = _v_rho(rho, q)
     small = bfs_generators(q, "full")
     orb = orbit(v_rho, small, q)
-    assert np.array_equal(orb, _reference_orbit(v_rho, small, q))
-    assert np.array_equal(orb, orbit(v_rho, group_generators(q, "full"), q))
+    vectors = _vectors_of(orb)
+    assert len(orb) == len(vectors)
+    assert np.array_equal(vectors, _reference_orbit(v_rho, small, q))
+    assert np.array_equal(orb.seen, orbit(v_rho, group_generators(q, "full"), q).seen)
+    small_parabolic = bfs_generators(q, "parabolic")
     parabolic = group_generators(q, "parabolic")
-    for start in (v_rho, _part1_representative(orb)):
-        got = orbit(start, bfs_generators(q, "parabolic"), q)
-        assert np.array_equal(got, orbit(start, parabolic, q))
+    for start in (v_rho, _part1_representative(vectors)):
+        got = orbit(start, small_parabolic, q)
+        expected = _reference_orbit(start, small_parabolic, q)
+        assert np.array_equal(_vectors_of(got), expected)
+        assert np.array_equal(got.seen, orbit(start, parabolic, q).seen)
 
 
 @pytest.mark.parametrize("q", [5, 7])
@@ -203,23 +215,24 @@ def test_parabolic_orbit_sizes_match_closed_forms(q):
         sign = 1 if is_square_mod(rho, q) else -1
         orbit0 = orbit(v_rho, gens, q)
         assert len(orbit0) == q ** 3 * (q + sign), (q, rho)
-        assert not orbit0[:, 6:].any()
-        orb = orbit(v_rho, bfs_generators(q, "full"), q)
+        assert not _vectors_of(orbit0)[:, 6:].any()
+        orb = _vectors_of(orbit(v_rho, bfs_generators(q, "full"), q))
         orbit1 = orbit(_part1_representative(orb), gens, q)
         assert len(orbit1) == q ** 4 * (q ** 2 - 1), (q, rho)
+        assert _vectors_of(orbit1)[:, 6:].any(axis=1).all()
 
 
-def test_sphere_over_cap_is_refused_before_any_bfs(monkeypatch):
+def test_map_over_cap_is_refused_before_any_bfs(monkeypatch):
     from g2adjoint import orbits
 
-    # q=5, rho=2: the sphere has 5^6 - 5^3 = 15500 vectors
+    # q=5: the occupancy map of V0 has 5^7 = 78125 bytes
     monkeypatch.setattr(orbits, "orbit", None)
-    with pytest.raises(ValueError, match="cap of 15499"):
-        double_coset_check(5, 2, cap=15499)
+    with pytest.raises(ValueError, match="cap of 78124"):
+        double_coset_check(5, 2, cap=78124)
     with pytest.raises(ValueError, match="cap"):
-        double_coset_check(17, 2)
+        double_coset_check(23, 2)
     monkeypatch.undo()
-    assert double_coset_check(5, 2, cap=15500).passed
+    assert double_coset_check(5, 2, cap=78125).passed
 
 
 def test_too_small_generating_sets_fail_the_report(monkeypatch):
@@ -232,3 +245,46 @@ def test_too_small_generating_sets_fail_the_report(monkeypatch):
     report = double_coset_check(5, 2)
     failed = {c.name for c in report.checks if c.status == "fail"}
     assert {"orbit-equals-sphere", "exactly-two-parabolic-orbits"} <= failed
+
+
+def test_generator_leaving_v0_fails_the_report(monkeypatch):
+    from g2adjoint import orbits
+
+    # adding coordinate 0 to coordinate 3 fixes v0 = e3 - e4 but does
+    # not map V0 = {v3 = v4} into itself; orbit() refuses it, and the
+    # report must FAIL, neither crash nor PASS
+    leave = np.eye(8, dtype=np.int64)
+    leave[3, 0] = 1
+    with pytest.raises(ValueError, match="V0"):
+        orbit(_v_rho(2, 5), [leave], 5)
+    with pytest.raises(ValueError, match="V0"):
+        orbit(np.array([0, 0, 0, 1, 0, 0, 0, 0]), [], 5)
+    real = orbits.bfs_generators
+    monkeypatch.setattr(
+        orbits, "bfs_generators", lambda q, which: real(q, which) + [leave]
+    )
+    report = double_coset_check(5, 2)
+    assert not report.passed
+    failed = [c for c in report.checks if c.status == "fail"]
+    assert [c.name for c in failed] == ["orbit-inside-norm-sphere"]
+    assert failed[0].counterexample == "2 BFS generators leave V0"
+
+
+@pytest.mark.parametrize("wrong", ["too-small", "too-large"])
+def test_wrong_parabolic_orbits_fail_the_partition_check(monkeypatch, wrong):
+    from g2adjoint import orbits
+
+    # x_a(1) alone reaches only part of each part; the G2 generators leave
+    # the v3 = 0 part.  Either way the map comparison must FAIL the
+    # partition check, and only it
+    real = orbits.bfs_generators
+
+    def gens(q, which):
+        if which == "full":
+            return real(q, "full")
+        return real(q, "parabolic")[:1] if wrong == "too-small" else real(q, "full")
+
+    monkeypatch.setattr(orbits, "bfs_generators", gens)
+    report = double_coset_check(5, 2)
+    failed = [c.name for c in report.checks if c.status == "fail"]
+    assert failed == ["exactly-two-parabolic-orbits"]
