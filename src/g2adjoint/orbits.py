@@ -1,9 +1,10 @@
 """Finite-field evidence for the double-coset combinatorics.
 
 Enumerates the G2(F_q)-orbit of v_rho by breadth-first closure under a
-small generating set (x_{+-alpha1}(1), x_{+-alpha2}(1)), checks it against
-the norm-2*rho sphere in V0 (counted independently), and splits it into
-parabolic orbits separated by the v3-block predicate.  This is a
+two-element generating set (x_{alpha1}(1) x_{-alpha2}(1) and
+x_{-alpha1}(1) x_{alpha2}(1), products of commuting root elements),
+checks it against the norm-2*rho sphere in V0 (counted independently),
+and splits it into parabolic orbits separated by the v3-block predicate.  This is a
 desk-scale analogue over F_q of the corresponding statement over a number
 field, and the report labels it as such.
 
@@ -13,8 +14,9 @@ Vectors are numpy int64 rows mod p.  Every orbit lies in V0 = v0^perp =
 lexicographic order of the vectors.  A BFS marks its orbit in an
 occupancy map of p^7 bytes, one per key, so the closure is a set (hence
 order-independent), and the partition and every comparison of the check
-are read off maps without decoding the orbit.  ORBIT_CAP bounds the bytes
-of one map; a q over it is refused before any BFS.
+are read off maps without decoding the orbit; norms are read off the
+digits of its keys.  ORBIT_CAP bounds the bytes of one map; a q over it
+is refused before any BFS.
 """
 
 from __future__ import annotations
@@ -110,27 +112,26 @@ def group_generators(q, which="full"):
     return gens
 
 
-def _least_primitive_root(q):
-    return next(
-        g for g in range(2, q) if len({pow(g, k, q) for k in range(1, q)}) == q - 1
-    )
-
-
 def bfs_generators(q, which="full"):
-    """The small generating sets every BFS uses; each matrix is also in
-    group_generators(q, which).
+    """The two-element generating sets every BFS uses; each matrix is a
+    product mod q of elements of group_generators(q, which).
 
-    full: x_a(1), x_g(1), x_b(1), x_l(1), that is x_{+-alpha1}(1) and
-    x_{+-alpha2}(1), which generate G2(F_q) (Steinberg, Lectures on
-    Chevalley Groups).  parabolic: x_a(1), x_g(1), x_b(1) and the torus
-    elements h_a(g), h_b(g), g the least primitive root mod q.
+    alpha1 - alpha2 is not a root, so x_{alpha1} = x_a commutes with
+    x_{-alpha2} = x_l and x_{-alpha1} = x_g with x_{alpha2} = x_b
+    (Steinberg, Lectures on Chevalley Groups, §3), and each pair of the
+    generators x_{+-alpha1}(1), x_{+-alpha2}(1) of G2(F_q) collapses
+    into one element.  full: x_a(1) x_l(1) = exp(E_a + E_l) and
+    x_g(1) x_b(1) = exp(E_g + E_b).  parabolic: x_a(1) and x_g(1) x_b(1),
+    both in P(F_q), with no torus element.  That they generate enough is
+    measured by double_coset_check, not proved: a set that generates too
+    little makes it FAIL, never PASS.
     """
-    x = [one_param_mod(param, 1, q) for param in ("a", "g", "b")]
+    a, g, b = (one_param_mod(param, 1, q) for param in ("a", "g", "b"))
+    g_b = g @ b % q
     if which == "full":
-        return x + [one_param_mod("l", 1, q)]
+        return [a @ one_param_mod("l", 1, q) % q, g_b]
     if which == "parabolic":
-        g = _least_primitive_root(q)
-        return x + [coroot_mod(param, g, q) for param in SIMPLE_PARAMS]
+        return [a, g_b]
     raise ValueError(f"unknown generator set {which!r}")
 
 
@@ -185,19 +186,13 @@ class OrbitMap:
     """An orbit in V0 as an occupancy map: `seen[key]` holds for the keys
     of its vectors, and len() is its size."""
 
-    __slots__ = ("seen", "size", "p")
+    __slots__ = ("seen", "size")
 
-    def __init__(self, seen, size, p):
-        self.seen, self.size, self.p = seen, size, p
+    def __init__(self, seen, size):
+        self.seen, self.size = seen, size
 
     def __len__(self):
         return self.size
-
-    def vectors(self, chunk=_CHUNK):
-        """The orbit's vectors in lexicographic order, a chunk of keys at
-        a time, so no decoded copy of the whole orbit is held."""
-        for lo in range(0, len(self.seen), chunk):
-            yield _vectors(np.flatnonzero(self.seen[lo:lo + chunk]) + lo, self.p)
 
 
 def _blocks(parts):
@@ -272,7 +267,7 @@ def orbit(start, gens, p, cap=ORBIT_CAP):
                     parts.append((fresh_packed, images))
                     size += len(images)
         frontier = parts
-    return OrbitMap(seen, size, p)
+    return OrbitMap(seen, size)
 
 
 def _same_map(a, b):
@@ -284,9 +279,15 @@ def _same_map(a, b):
     )
 
 
-def _norms(vectors, p):
-    """<v, v> = sum v_i v_{7-i} mod p."""
-    return (vectors * vectors[:, ::-1]).sum(axis=1) % p
+def _key_norms(keys, p):
+    """<v, v> = sum v_i v_{7-i} = 2(v0 v7 + v1 v6 + v2 v5 + v3^2) mod p
+    of the V0 vectors of an array of keys, read off their digits."""
+    digits = []
+    for _ in range(7):
+        keys, digit = np.divmod(keys, p)
+        digits.append(digit)
+    v7, v6, v5, v3, v2, v1, v0 = digits
+    return 2 * (v0 * v7 + v1 * v6 + v2 * v5 + v3 * v3) % p
 
 
 def sphere_count(q, rho):
@@ -338,14 +339,18 @@ def double_coset_check(q, rho, cap=ORBIT_CAP):
         f"{len(full)} generators fix v0 and preserve both forms",
     )
 
-    # Every BFS runs on the small sets of bfs_generators, which are drawn
-    # from the lists checked here and below, so they generate subgroups
-    # H <= G2(F_q) and H_P <= P(F_q).  The H-orbit lies in the G-orbit,
-    # which lies in the norm sphere; orbit-equals-sphere then forces all
-    # three to be equal.  Each H_P-orbit equals its part of the partition,
-    # and the predicate is P-stable (checked on all of P's generators), so
-    # the P-orbit equals the part too.  A set that generates too little
-    # can thus make a check FAIL, never PASS falsely.
+    # Every BFS runs on the two-element sets of bfs_generators, which are
+    # products of elements of the lists checked here and below: x_a(1),
+    # x_a(1) x_l(1) and x_g(1) x_b(1).  (Each pair commutes, since alpha1
+    # - alpha2 is not a root, so the products are exp(E_a + E_l) and
+    # exp(E_g + E_b); soundness needs only that they are products.)  So
+    # they generate subgroups H <= G2(F_q) and H_P <= P(F_q).  The H-orbit
+    # lies in the G-orbit, which lies in the norm sphere;
+    # orbit-equals-sphere then forces all three to be equal.  Each
+    # H_P-orbit equals its part of the partition, and the predicate is
+    # P-stable (checked on all of P's generators), so the P-orbit equals
+    # the part too.  A set that generates too little can thus make a
+    # check FAIL, never PASS falsely.
     #
     # The BFS runs over the keys of V0 = v0^perp = {v3 = v4}: a generator
     # that fixes v0 and preserves J preserves v0^perp, and v_rho lies in
@@ -363,8 +368,10 @@ def double_coset_check(q, rho, cap=ORBIT_CAP):
     orb = orbit(v_rho, gens, q, cap)
     size = len(orb)
 
+    two_rho = 2 * rho % q
     on_sphere = all(
-        (_norms(chunk, q) == (2 * rho) % q).all() for chunk in orb.vectors()
+        (_key_norms(np.flatnonzero(orb.seen[lo:lo + _CHUNK]) + lo, q) == two_rho).all()
+        for lo in range(0, len(orb.seen), _CHUNK)
     )
     report.check(
         "orbit-inside-norm-sphere",

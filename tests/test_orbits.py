@@ -3,10 +3,14 @@ two-parabolic-orbit partition."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from g2adjoint.algebra import LaurentPoly
 from g2adjoint.g2model import ROOT_EXP, ROOT_PARAMS, one_param, root_exp
 from g2adjoint.orbits import (
+    _key_norms,
+    _vectors,
     bfs_generators,
     companion_rho,
     coroot_mod,
@@ -86,9 +90,9 @@ def test_generators_preserve_structures():
         assert generator_invariants_hold(group_generators(q, "full"), q)
 
 
-def _vectors_of(orb, chunk=1 << 10):
-    """All vectors of an OrbitMap, read in small chunks of keys."""
-    return np.concatenate(list(orb.vectors(chunk)))
+def _vectors_of(orb, q):
+    """All vectors of an OrbitMap, in key order."""
+    return _vectors(np.flatnonzero(orb.seen), q)
 
 
 def test_orbit_under_identity_is_singleton():
@@ -96,7 +100,7 @@ def test_orbit_under_identity_is_singleton():
     start = np.array([0, 0, 1, 0, 0, 2, 0, 0])
     out = orbit(start, [eye], 5)
     assert len(out) == 1 and np.count_nonzero(out.seen) == 1
-    assert np.array_equal(_vectors_of(out), [start])
+    assert np.array_equal(_vectors_of(out, 5), [start])
 
 
 def test_orbit_cap_is_enforced():
@@ -174,13 +178,44 @@ def _v_rho(rho, q):
     return np.array([0, 0, 1, 0, 0, rho % q, 0, 0], dtype=np.int64)
 
 
+# the factors of each BFS generator, as root parameters at t = 1
+BFS_FACTORS = {"full": [("a", "l"), ("g", "b")], "parabolic": [("a",), ("g", "b")]}
+
+
 @pytest.mark.parametrize("which", ["full", "parabolic"])
 def test_bfs_generators_are_drawn_from_group_generators(which):
     for q in (5, 7):
         small = bfs_generators(q, which)
         listed = group_generators(q, which)
-        assert len(small) == (4 if which == "full" else 5)
-        assert all(_contains(listed, g) for g in small), (q, which)
+        assert len(small) == 2
+        for g, params in zip(small, BFS_FACTORS[which]):
+            factors = [one_param_mod(param, 1, q) for param in params]
+            assert all(_contains(listed, f) for f in factors), (q, which, params)
+            product = np.eye(8, dtype=np.int64)
+            for f in factors:
+                product = product @ f % q
+            assert np.array_equal(g, product), (q, which, params)
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_double_coset_check_passes_for_every_rho(q):
+    # the two-element BFS sets generate enough for every unit rho; that
+    # is measured here, not proved
+    for rho in range(1, q):
+        report = double_coset_check(q, rho)
+        assert report.passed, report.to_text()
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([5, 7, 17]), st.data())
+def test_key_norms_match_decoded_vectors(q, data):
+    keys = np.array(
+        data.draw(st.lists(st.integers(0, q ** 7 - 1), min_size=1, max_size=50)),
+        dtype=np.int64,
+    )
+    vectors = _vectors(keys, q)
+    expected = (vectors * vectors[:, ::-1]).sum(axis=1) % q
+    assert np.array_equal(_key_norms(keys, q), expected)
 
 
 def _part1_representative(orb):
@@ -194,7 +229,7 @@ def test_small_generating_sets_give_the_full_orbits(rho):
     v_rho = _v_rho(rho, q)
     small = bfs_generators(q, "full")
     orb = orbit(v_rho, small, q)
-    vectors = _vectors_of(orb)
+    vectors = _vectors_of(orb, q)
     assert len(orb) == len(vectors)
     assert np.array_equal(vectors, _reference_orbit(v_rho, small, q))
     assert np.array_equal(orb.seen, orbit(v_rho, group_generators(q, "full"), q).seen)
@@ -203,7 +238,7 @@ def test_small_generating_sets_give_the_full_orbits(rho):
     for start in (v_rho, _part1_representative(vectors)):
         got = orbit(start, small_parabolic, q)
         expected = _reference_orbit(start, small_parabolic, q)
-        assert np.array_equal(_vectors_of(got), expected)
+        assert np.array_equal(_vectors_of(got, q), expected)
         assert np.array_equal(got.seen, orbit(start, parabolic, q).seen)
 
 
@@ -215,11 +250,11 @@ def test_parabolic_orbit_sizes_match_closed_forms(q):
         sign = 1 if is_square_mod(rho, q) else -1
         orbit0 = orbit(v_rho, gens, q)
         assert len(orbit0) == q ** 3 * (q + sign), (q, rho)
-        assert not _vectors_of(orbit0)[:, 6:].any()
-        orb = _vectors_of(orbit(v_rho, bfs_generators(q, "full"), q))
+        assert not _vectors_of(orbit0, q)[:, 6:].any()
+        orb = _vectors_of(orbit(v_rho, bfs_generators(q, "full"), q), q)
         orbit1 = orbit(_part1_representative(orb), gens, q)
         assert len(orbit1) == q ** 4 * (q ** 2 - 1), (q, rho)
-        assert _vectors_of(orbit1)[:, 6:].any(axis=1).all()
+        assert _vectors_of(orbit1, q)[:, 6:].any(axis=1).all()
 
 
 def test_map_over_cap_is_refused_before_any_bfs(monkeypatch):
@@ -238,10 +273,10 @@ def test_map_over_cap_is_refused_before_any_bfs(monkeypatch):
 def test_too_small_generating_sets_fail_the_report(monkeypatch):
     from g2adjoint import orbits
 
-    # the first three of each set generate too little: the report must
-    # FAIL, neither crash nor PASS
+    # one element of each set generates only a cyclic group, too little:
+    # the report must FAIL, neither crash nor PASS
     real = orbits.bfs_generators
-    monkeypatch.setattr(orbits, "bfs_generators", lambda q, which: real(q, which)[:3])
+    monkeypatch.setattr(orbits, "bfs_generators", lambda q, which: real(q, which)[:1])
     report = double_coset_check(5, 2)
     failed = {c.name for c in report.checks if c.status == "fail"}
     assert {"orbit-equals-sphere", "exactly-two-parabolic-orbits"} <= failed
@@ -268,6 +303,27 @@ def test_generator_leaving_v0_fails_the_report(monkeypatch):
     failed = [c for c in report.checks if c.status == "fail"]
     assert [c.name for c in failed] == ["orbit-inside-norm-sphere"]
     assert failed[0].counterexample == "2 BFS generators leave V0"
+
+
+def test_g2_orbit_off_the_sphere_fails_the_report(monkeypatch):
+    from g2adjoint import orbits
+
+    # the G2 map gains key 0, the zero vector, of norm 0 != 2*rho: the
+    # key-space norm check must see it and FAIL
+    real = orbits.orbit
+    x_al = bfs_generators(5, "full")[0]
+
+    def orbit_off_sphere(start, gens, p, cap):
+        out = real(start, gens, p, cap)
+        if _contains(gens, x_al) and not out.seen[0]:
+            out.seen[0] = True
+            out.size += 1
+        return out
+
+    monkeypatch.setattr(orbits, "orbit", orbit_off_sphere)
+    report = double_coset_check(5, 2)
+    failed = {c.name for c in report.checks if c.status == "fail"}
+    assert "orbit-inside-norm-sphere" in failed
 
 
 @pytest.mark.parametrize("wrong", ["too-small", "too-large"])
