@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import add as _add
+from operator import itemgetter
 
 # Exact rational scalars: always reduced, positive denominator, structural
 # equality.  The stdlib type satisfies the whole contract.
@@ -468,150 +469,76 @@ def equal_mod_inverses(left, right, relations):
 
 
 class TruncatedSeries:
-    """A Laurent polynomial truncated at a total-degree bound.
+    """A Laurent polynomial truncated above degree `bound` in the one
+    series variable `var`, which has no negative exponent; every other
+    variable is carried exactly.
 
-    The bound applies to the total degree across `series_vars`, in which
-    only nonnegative exponents may appear; all other variables are carried
-    exactly and never truncated.
+    A series has no arithmetic of its own: compute on `poly` and truncate
+    the result again, or expand a quotient with series_expand.
     """
 
-    __slots__ = ("poly", "series_vars", "bound")
+    __slots__ = ("poly", "var", "bound")
 
-    def __init__(self, poly, series_vars, bound):
+    def __init__(self, poly, var, bound):
         if not isinstance(poly, LaurentPoly):
             poly = LaurentPoly.constant(poly)
-        series_vars = tuple(sorted(series_vars))
+        if not isinstance(var, str):
+            raise TypeError(f"the series variable is one name, not {var!r}")
         if bound < 0:
             raise ValueError("truncation bound must be nonnegative")
-        idx = [i for i, v in enumerate(poly.variables) if v in series_vars]
-        kept = {}
-        for exps, coeff in poly.terms.items():
-            if any(exps[i] < 0 for i in idx):
-                raise ValueError(
-                    f"negative exponent in series variable: {poly.variables}"
-                )
-            if sum(exps[i] for i in idx) <= bound:
-                kept[exps] = coeff
+        if poly.min_exponent(var) < 0:
+            raise ValueError(f"negative exponent of the series variable: {poly}")
+        degree = _degree_in(poly.variables, var)
+        kept = {e: c for e, c in poly.terms.items() if degree(e) <= bound}
         if len(kept) < len(poly.terms):
             poly = LaurentPoly._from_normal(*_prune(poly.variables, kept))
         object.__setattr__(self, "poly", poly)
-        object.__setattr__(self, "series_vars", series_vars)
+        object.__setattr__(self, "var", var)
         object.__setattr__(self, "bound", bound)
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
 
-    def _check_compatible(self, other):
-        if self.series_vars != other.series_vars or self.bound != other.bound:
-            raise ValueError("incompatible truncation data")
-
-    def _wrap(self, poly):
-        return TruncatedSeries(poly, self.series_vars, self.bound)
-
-    def _coerce(self, other):
-        if isinstance(other, TruncatedSeries):
-            self._check_compatible(other)
-            return other
-        if isinstance(other, (int, Fraction, LaurentPoly)):
-            return self._wrap(other)
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self._wrap(self.poly + other.poly)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self._wrap(-self.poly)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        names, a, b = self.poly._align(other.poly)
-        sidx = [i for i, v in enumerate(names) if v in self.series_vars]
-        da = {e: sum(e[i] for i in sidx) for e in a}
-        db = {e: sum(e[i] for i in sidx) for e in b}
-        out = {}
-        for e1, c1 in a.items():
-            room = self.bound - da[e1]
-            for e2, c2 in b.items():
-                if db[e2] > room:
-                    continue
-                key = tuple(map(_add, e1, e2))
-                total = out.get(key)
-                out[key] = c1 * c2 if total is None else total + c1 * c2
-        if _holds_fraction(a) or _holds_fraction(b):
-            out = {e: _canon(c) for e, c in out.items() if c}
-        else:
-            out = {e: c for e, c in out.items() if c}
-        return self._wrap(LaurentPoly._from_normal(*_prune(names, out)))
-
-    __rmul__ = __mul__
-
     def __eq__(self, other):
         if isinstance(other, TruncatedSeries):
-            return (self.series_vars, self.bound, self.poly) == (
-                other.series_vars, other.bound, other.poly
+            return (self.var, self.bound, self.poly) == (
+                other.var, other.bound, other.poly
             )
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.poly == other.poly
+        # anything else is compared with the polynomial exactly, so equal
+        # values hash equal
+        return self.poly == other
 
     def __hash__(self):
-        # equal values have equal polynomials, so a series equal to a
-        # constant hashes like that constant
         return hash(self.poly)
 
     def slices(self):
-        """Map from series-degree to the (full) slice polynomial."""
-        idx = [i for i, v in enumerate(self.poly.variables) if v in self.series_vars]
+        """Map from degree in `var` to the slice polynomial of that degree."""
+        degree = _degree_in(self.poly.variables, self.var)
         out = {}
         for exps, coeff in self.poly.terms.items():
-            d = sum(exps[i] for i in idx)
-            out.setdefault(d, {})[exps] = coeff
+            out.setdefault(degree(exps), {})[exps] = coeff
         return {
             d: LaurentPoly(self.poly.variables, t) for d, t in sorted(out.items())
         }
 
     def coefficient(self, degree):
-        """Slice of series-degree `degree` with the series variables divided
-        out; only sensible when there is a single series variable."""
-        if len(self.series_vars) != 1:
-            raise ValueError("coefficient() needs exactly one series variable")
-        name = self.series_vars[0]
+        """The slice of degree `degree` with var^degree divided out."""
         slc = self.slices().get(degree)
         if slc is None:
             return LaurentPoly.zero()
-        return slc * LaurentPoly.variable(name, -degree)
+        return slc * LaurentPoly.variable(self.var, -degree)
 
     def inverse(self):
         """Multiplicative inverse, via the graded convolution recurrence.
 
-        Requires the series-degree-0 part to be a Laurent unit in the exact
+        Requires the degree-0 part to be a Laurent unit in the exact
         variables.
         """
         parts = self.slices()
         c0 = parts.get(0, LaurentPoly.zero())
         if not c0.is_unit():
             raise NonInvertibleError(
-                f"constant term (in series variables) is not a unit: {c0}"
+                f"constant term (in {self.var}) is not a unit: {c0}"
             )
         c0inv = c0.unit_inverse()
         norm = {d: c0inv * p for d, p in parts.items() if d > 0}
@@ -625,32 +552,53 @@ class TruncatedSeries:
         total = LaurentPoly.zero()
         for p in inv.values():
             total = total + p
-        return self._wrap(c0inv * total)
-
-    def __str__(self):
-        return str(self.poly)
+        return TruncatedSeries(c0inv * total, self.var, self.bound)
 
     def __repr__(self):
-        return (
-            f"TruncatedSeries({self.poly}, vars={self.series_vars}, "
-            f"bound={self.bound})"
-        )
+        return f"TruncatedSeries({self.poly}, {self.var!r}, {self.bound})"
 
 
-def series_expand(numerator, denominator, series_vars, bound):
-    """Power-series expansion of numerator/denominator.
+def _degree_in(variables, var):
+    """The exponent of `var` in an exponent vector aligned with
+    `variables` (0 for every vector when `var` is not among them)."""
+    if var in variables:
+        return itemgetter(variables.index(var))
+    return lambda exps: 0
 
-    Truncation is by total degree <= bound across `series_vars`; the
-    denominator must have an invertible constant term there.
+
+def series_expand(numerator, denominator, var, bound):
+    """Power-series expansion of numerator/denominator in `var`, truncated
+    above degree `bound`; the denominator's degree-0 part must be a unit.
+
+    The numerator is multiplied by the inverse series term by term,
+    skipping every pair whose degrees add up to more than `bound`.
     """
-    num = TruncatedSeries(numerator, series_vars, bound)
-    den = TruncatedSeries(denominator, series_vars, bound)
+    num = TruncatedSeries(numerator, var, bound)
     try:
-        return num * den.inverse()
+        inv = TruncatedSeries(denominator, var, bound).inverse()
     except NonInvertibleError as exc:
         raise NonInvertibleError(
             f"cannot expand 1/({denominator}): {exc}"
         ) from None
+    names, a, b = num.poly._align(inv.poly)
+    degree = _degree_in(names, var)
+    right = [(e, c, degree(e)) for e, c in b.items()]
+    out = {}
+    for e1, c1 in a.items():
+        room = bound - degree(e1)
+        for e2, c2, d2 in right:
+            if d2 > room:
+                continue
+            key = tuple(map(_add, e1, e2))
+            total = out.get(key)
+            out[key] = c1 * c2 if total is None else total + c1 * c2
+    if _holds_fraction(a) or _holds_fraction(b):
+        out = {e: _canon(c) for e, c in out.items() if c}
+    else:
+        out = {e: c for e, c in out.items() if c}
+    return TruncatedSeries(
+        LaurentPoly._from_normal(*_prune(names, out)), var, bound
+    )
 
 
 class RingMatrix:

@@ -68,14 +68,14 @@ def nonsplit_factor_product():
 def zeta_factor(c1, c0):
     """The local zeta factor zeta(c1*s + c0) rewritten in x = q^(-3s+1).
 
-    Returns (numerator, denominator) with denominator
-    1 - q^(-c0 - c1/3) x^(c1/3); the factor itself is num/den.
+    Returns its denominator 1 - q^(-c0 - c1/3) x^(c1/3); the factor
+    itself is 1/den.
     """
     if c1 % 3 != 0:
         raise ValueError(f"zeta argument {c1}*s{c0:+d} is not expressible in x")
     k = c1 // 3
     e = -c0 - k
-    return LaurentPoly.one(), 1 - LaurentPoly.monomial(1, {"q": e, "x": k})
+    return 1 - LaurentPoly.monomial(1, {"q": e, "x": k})
 
 
 def inner_integral_shell(vc):
@@ -124,10 +124,8 @@ def poincare_oracle(bound):
         for (m1, m2), mult in sorted(mults.items()):
             lhs = lhs + mult * t1 ** m1 * t2 ** m2 * x ** k
     num, den = _split_closed_form()
-    rhs = series_expand(num, den * (1 - x ** 2) * (1 - x ** 3), {"X"}, bound)
-    mismatch = _first_series_mismatch(
-        TruncatedSeries(lhs, {"X"}, bound), rhs
-    )
+    rhs = series_expand(num, den * (1 - x ** 2) * (1 - x ** 3), "X", bound)
+    mismatch = _first_series_mismatch(TruncatedSeries(lhs, "X", bound), rhs)
     report.check(
         "symmetric-algebra-matches-closed-form",
         mismatch is None,
@@ -157,10 +155,14 @@ def _split_closed_form():
 
 
 def _first_series_mismatch(lhs, rhs):
-    diff = lhs - rhs
-    if diff.poly.is_zero():
+    """Where two series of one variable and bound first differ (least
+    degree, then least monomial), or None when they are equal."""
+    if (lhs.var, lhs.bound) != (rhs.var, rhs.bound):
+        raise ValueError("series with different truncation data")
+    diff = lhs.poly - rhs.poly
+    if diff.is_zero():
         return None
-    slices = diff.slices()
+    slices = TruncatedSeries(diff, lhs.var, lhs.bound).slices()
     degree = min(slices)
     poly = slices[degree]
     exps, _ = min(poly.terms.items())
@@ -203,8 +205,8 @@ def split_identity_lattice_sum(bound):
 def split_identity_check(bound):
     """The split-case lattice sum equals the four-factor closed form."""
     report = VerificationReport("split-identity", {"degree": bound})
-    lhs = TruncatedSeries(split_identity_lattice_sum(bound), {"X"}, bound)
-    rhs = series_expand(*_split_closed_form(), {"X"}, bound)
+    lhs = TruncatedSeries(split_identity_lattice_sum(bound), "X", bound)
+    rhs = series_expand(*_split_closed_form(), "X", bound)
     mismatch = _first_series_mismatch(lhs, rhs)
     report.check(
         "lattice-sum-equals-four-factor-form",
@@ -231,14 +233,12 @@ def nonsplit_identity_check(bound):
                 double_sum = double_sum + LaurentPoly.monomial(
                     1, {"X": k1 + 2 * k2, "T": k1 + k2 - 2 * i}
                 )
-    a = TruncatedSeries(double_sum, {"X"}, bound)
-    b = series_expand(1, (1 - x ** 3) * (1 - t * x) * (1 - t * x ** 2), {"X"}, bound)
+    a = TruncatedSeries(double_sum, "X", bound)
+    b = series_expand(1, (1 - x ** 3) * (1 - t * x) * (1 - t * x ** 2), "X", bound)
     single = lattice_sum(
         "X", bound, [(m, m) for m in range(bound + 1)], lambda m, _: t ** m
     )
-    c = TruncatedSeries(single, {"X"}, bound) * series_expand(
-        1, 1 - x ** 3, {"X"}, bound
-    )
+    c = series_expand(single, 1 - x ** 3, "X", bound)
     m_ab = _first_series_mismatch(a, b)
     m_bc = _first_series_mismatch(b, c)
     report.check(
@@ -282,8 +282,7 @@ def unramified_lhs(satake, bound):
         )
     else:
         raise TypeError(f"not a Satake class: {satake!r}")
-    series = TruncatedSeries(acc, {"x"}, bound)
-    return TruncatedSeries(1 - q_inv * x, {"x"}, bound) * series
+    return TruncatedSeries((1 - q_inv * x) * acc, "x", bound)
 
 
 ZETA_TRIPLE_DERIVED = ((3, 0), (6, -2), (9, -3))
@@ -293,8 +292,8 @@ ZETA_TRIPLE_PRINTED = ((3, 0), (6, -2), (3, -9))
 def unramified_rhs(satake, zeta_triple, bound):
     """L(3s-1, pi, r) divided by the three zeta factors, as a series in x
     (note q^-(3s-1) = x, so the L-factor needs no shift)."""
-    num = math.prod(zeta_factor(c1, c0)[1] for c1, c0 in zeta_triple)
-    return series_expand(num, l_factor_denominator(satake), {"x"}, bound)
+    num = math.prod(zeta_factor(c1, c0) for c1, c0 in zeta_triple)
+    return series_expand(num, l_factor_denominator(satake), "x", bound)
 
 
 def _triple_name(triple):

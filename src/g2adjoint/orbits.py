@@ -77,14 +77,14 @@ def _is_prime(n):
     return True
 
 
-def _validate(q, rho, cap=ORBIT_CAP):
+def _validate(q, rho):
     """Refuse a (q, rho) the orbit suite cannot run, before any BFS."""
     # every BFS allocates an occupancy map of q^7 bytes; bounding it first
     # refuses a huge q before it is tested for primality
-    if q ** 7 > cap:
+    if q ** 7 > ORBIT_CAP:
         raise ValueError(
             f"the orbit map of V0 takes q^7 = {q ** 7} bytes "
-            f"({q ** 7 / 2 ** 20:.0f} MB), over the cap of {cap}"
+            f"({q ** 7 / 2 ** 20:.0f} MB), over the cap of {ORBIT_CAP}"
         )
     if not _is_prime(q):
         raise ValueError(f"{q} is not prime")
@@ -208,12 +208,12 @@ def _blocks(parts):
         yield tuple(np.concatenate(column) for column in zip(*group))
 
 
-def orbit(start, gens, p, cap=ORBIT_CAP):
+def orbit(start, gens, p):
     """Closure of {start} under left multiplication by gens, as an
     OrbitMap over the p^7 keys of V0 (one byte each).
 
     start must lie in V0 and every generator map V0 into V0 (ValueError
-    otherwise); a map of more than `cap` bytes raises RuntimeError before
+    otherwise); a map of more than ORBIT_CAP bytes raises RuntimeError before
     it is allocated.  A frontier vector is its 7 V0 digits as uint8 plus
     a zero byte, viewed as one uint64 so that rows gather fast, and is
     kept with its int64 key.  Each generator changes only some digits: a
@@ -224,8 +224,8 @@ def orbit(start, gens, p, cap=ORBIT_CAP):
     decoded, sorted or searched, and the map is a set, hence the same
     for any order of the generators.
     """
-    if p ** 7 > cap:
-        raise RuntimeError(f"orbit map of {p ** 7} bytes exceeds cap {cap}")
+    if p ** 7 > ORBIT_CAP:
+        raise RuntimeError(f"orbit map of {p ** 7} bytes exceeds cap {ORBIT_CAP}")
     pows = p ** np.arange(6, -1, -1, dtype=np.int64)
     start = np.asarray(start, dtype=np.int64) % p
     if start[3] != start[4]:
@@ -315,11 +315,11 @@ def is_square_mod(rho, q):
     return pow(rho % q, (q - 1) // 2, q) == 1
 
 
-def double_coset_check(q, rho, cap=ORBIT_CAP):
+def double_coset_check(q, rho):
     """Desk-scale analogue of the two-element double-coset statement:
     the G2(F_q)-orbit of v_rho meets exactly two P(F_q)-orbits, separated
     by vanishing of the last two coordinates."""
-    _validate(q, rho, cap)
+    _validate(q, rho)
     square = is_square_mod(rho, q)
     report = VerificationReport(
         "orbits",
@@ -357,15 +357,12 @@ def double_coset_check(q, rho, cap=ORBIT_CAP):
     # it.  Each BFS generator is also tested on V0 directly; one that
     # leaves V0 is left out of every BFS and makes
     # orbit-inside-norm-sphere FAIL.
-    gens = bfs_generators(q, "full")
-    parabolic_gens = bfs_generators(q, "parabolic")
-    leaving = sum(not _on_v0(g, q)[1] for g in gens + parabolic_gens)
-    gens, parabolic_gens = (
-        [g for g in s if _on_v0(g, q)[1]] for s in (gens, parabolic_gens)
-    )
+    sets = [bfs_generators(q, which) for which in ("full", "parabolic")]
+    gens, parabolic_gens = ([g for g in s if _on_v0(g, q)[1]] for s in sets)
+    leaving = sum(map(len, sets)) - len(gens) - len(parabolic_gens)
 
     v_rho = np.array([0, 0, 1, 0, 0, rho % q, 0, 0], dtype=np.int64)
-    orb = orbit(v_rho, gens, q, cap)
+    orb = orbit(v_rho, gens, q)
     size = len(orb)
 
     two_rho = 2 * rho % q
@@ -414,7 +411,7 @@ def double_coset_check(q, rho, cap=ORBIT_CAP):
     def parabolic_orbit_is_part(start, zero_part):
         """(size, equality with its part) of the H_P-orbit of start.  Its
         map is dropped on return, so at most two maps are ever live."""
-        sub = orbit(start, parabolic_gens, q, cap)
+        sub = orbit(start, parabolic_gens, q)
         sub_cols = sub.seen.reshape(-1, q * q)
         outside = slice(1, None) if zero_part else 0
         if sub_cols[:, outside].any():
@@ -442,7 +439,7 @@ def double_coset_check(q, rho, cap=ORBIT_CAP):
         else f"P-orbit sizes {size0}, {size1} vs parts {part0}, {part1}",
     )
 
-    reversed_orb = orbit(v_rho, gens[::-1], q, cap)
+    reversed_orb = orbit(v_rho, gens[::-1], q)
     report.check(
         "orbit-is-order-independent",
         _same_map(reversed_orb.seen, orb.seen),
@@ -460,11 +457,11 @@ def companion_rho(q, rho):
     raise ValueError("no companion found")
 
 
-def verify_orbits(q, rho, cap=ORBIT_CAP):
+def verify_orbits(q, rho):
     """Run the double-coset analogue for the requested rho and for a
     companion of the opposite quadratic class."""
-    first = double_coset_check(q, rho, cap)
-    other = double_coset_check(q, companion_rho(q, rho), cap)
+    first = double_coset_check(q, rho)
+    other = double_coset_check(q, companion_rho(q, rho))
     labeled = [
         (f"rho={r.parameters['rho']}-{r.parameters['rho_class']}", r)
         for r in (first, other)

@@ -4,7 +4,7 @@ resolved discrepancies in the displayed formulas."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 
 @dataclass(frozen=True)
@@ -30,11 +30,7 @@ class TypoNote:
     computed: str
 
     def to_dict(self):
-        return {
-            "display": self.display,
-            "printed": self.printed,
-            "computed": self.computed,
-        }
+        return asdict(self)
 
 
 # Every discrepancy that the suites resolve by exact computation, keyed for
@@ -207,11 +203,7 @@ def merge_reports(suite, parameters, labeled_reports):
 
 def reports_to_json(reports, timestamp=None):
     """Aggregate several suite reports into one stable JSON document."""
-    seen = []
-    for r in reports:
-        for key in r.typo_keys:
-            if key not in seen:
-                seen.append(key)
+    seen = dict.fromkeys(k for r in reports for k in r.typo_keys)
     doc = {
         "suites": [r.to_dict() for r in reports],
         "typo_ledger": [TYPOS[k].to_dict() for k in seen],

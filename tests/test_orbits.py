@@ -103,10 +103,13 @@ def test_orbit_under_identity_is_singleton():
     assert np.array_equal(_vectors_of(out, 5), [start])
 
 
-def test_orbit_cap_is_enforced():
+def test_orbit_cap_is_enforced(monkeypatch):
+    from g2adjoint import orbits
+
+    monkeypatch.setattr(orbits, "ORBIT_CAP", 100)
     gens = group_generators(5, "full")
     with pytest.raises(RuntimeError):
-        orbit(np.array([0, 0, 1, 0, 0, 2, 0, 0]), gens, 5, cap=100)
+        orbit(np.array([0, 0, 1, 0, 0, 2, 0, 0]), gens, 5)
 
 
 def test_sphere_count_matches_closed_form():
@@ -262,12 +265,14 @@ def test_map_over_cap_is_refused_before_any_bfs(monkeypatch):
 
     # q=5: the occupancy map of V0 has 5^7 = 78125 bytes
     monkeypatch.setattr(orbits, "orbit", None)
-    with pytest.raises(ValueError, match="cap of 78124"):
-        double_coset_check(5, 2, cap=78124)
-    with pytest.raises(ValueError, match="cap"):
+    with pytest.raises(ValueError, match="cap of"):
         double_coset_check(23, 2)
+    monkeypatch.setattr(orbits, "ORBIT_CAP", 78124)
+    with pytest.raises(ValueError, match="cap of 78124"):
+        double_coset_check(5, 2)
     monkeypatch.undo()
-    assert double_coset_check(5, 2, cap=78125).passed
+    monkeypatch.setattr(orbits, "ORBIT_CAP", 78125)
+    assert double_coset_check(5, 2).passed
 
 
 def test_too_small_generating_sets_fail_the_report(monkeypatch):
@@ -313,8 +318,8 @@ def test_g2_orbit_off_the_sphere_fails_the_report(monkeypatch):
     real = orbits.orbit
     x_al = bfs_generators(5, "full")[0]
 
-    def orbit_off_sphere(start, gens, p, cap):
-        out = real(start, gens, p, cap)
+    def orbit_off_sphere(start, gens, p):
+        out = real(start, gens, p)
         if _contains(gens, x_al) and not out.seen[0]:
             out.seen[0] = True
             out.size += 1
