@@ -201,10 +201,6 @@ def root_matrix(param):
     return g2_element(**{param: 1})
 
 
-def torus_direction(T1, T2):
-    return g2_element(T1, T2)
-
-
 SIMPLE_PARAMS = ("a", "b")  # alpha1 (short), alpha2 (long)
 PARABOLIC_PARAMS = ("a", "g", "b", "c", "d", "e", "f")  # Levi {+-alpha1} + radical
 

@@ -8,15 +8,18 @@ and splits it into parabolic orbits separated by the v3-block predicate.  This i
 desk-scale analogue over F_q of the corresponding statement over a number
 field, and the report labels it as such.
 
-Vectors are numpy int64 rows mod p.  Every orbit lies in V0 = v0^perp =
-{v3 = v4}, so a vector is indexed by its key, the base-p digits of
-(v0, v1, v2, v3, v5, v6, v7) with v0 most significant; key order is the
-lexicographic order of the vectors.  A BFS marks its orbit in an
-occupancy map of p^7 bytes, one per key, so the closure is a set (hence
-order-independent), and the partition and every comparison of the check
-are read off maps without decoding the orbit; norms are read off the
-digits of its keys.  ORBIT_CAP bounds the bytes of one map; a q over it
-is refused before any BFS.
+Every orbit lies in V0 = v0^perp = {v3 = v4}, so a vector is indexed by
+its key, the base-p digits of (v0, v1, v2, v3, v5, v6, v7) with v0 most
+significant; key order is the lexicographic order of the vectors.  A BFS
+holds int64 keys only: the image of a key under a generator is the sum
+of two integer table lookups, one indexed by a leading run of its digits
+and one by a trailing run, with no float arithmetic and nothing decoded.
+It marks its orbit in an occupancy map of p^7 bytes, one per key, so the
+closure is a set (hence order-independent), and the partition and every
+comparison of the check are read off maps without decoding the orbit;
+norms are read off the digits of its keys.  ORBIT_CAP bounds the bytes
+of one map, and of the tables of one BFS; a q whose map is over it is
+refused before any BFS.
 """
 
 from __future__ import annotations
@@ -33,7 +36,8 @@ from .g2model import (
 )
 from .report import VerificationReport, merge_reports
 
-# bytes of one occupancy map: q = 17 (391 MB) runs, q = 19 (852 MB) does not
+# bytes of one occupancy map, and of one BFS's step tables: q = 17 (a
+# 391 MB map, 22 MB of tables) runs, q = 19 (an 852 MB map) does not
 ORBIT_CAP = 2 ** 29
 # vectors per BFS block, and keys per chunk where a map is read or compared
 _BLOCK = 1 << 14
@@ -195,17 +199,77 @@ class OrbitMap:
         return self.size
 
 
+def _split(m, p):
+    """The cheapest split of m's output digits into leading rows, which
+    read a prefix of the input digits, and trailing rows, which read a
+    suffix: (rows, prefix length, suffix length) with the fewest table
+    entries, p^prefix + p^suffix."""
+    reads = m != 0
+    splits = []
+    for rows in range(1, 7):
+        lead = np.flatnonzero(reads[:rows].any(axis=0))
+        trail = np.flatnonzero(reads[rows:].any(axis=0))
+        prefix = int(lead[-1]) + 1 if len(lead) else 0
+        suffix = 7 - int(trail[0]) if len(trail) else 0
+        splits.append((rows, prefix, suffix))
+    return min(splits, key=lambda split: p ** split[1] + p ** split[2])
+
+
+def _table(m, rows, cols, p):
+    """table[w] = the key part of the output digits `rows` of m v, for the
+    v whose digits `cols` spell w in base p (first most significant).
+    Only `cols` may be nonzero in those rows of m.  Each row's digit sum
+    is broadcast over just the digits it reads, so a row costs one pass
+    over the table."""
+    pows = p ** np.arange(6, -1, -1, dtype=np.int64)
+    axes = np.ix_(*[np.arange(p, dtype=np.int64)] * len(cols))
+    table = np.zeros((p,) * len(cols), dtype=np.int64)
+    for i in rows:
+        acc = sum(c * axis for c, axis in zip(m[i, cols], axes) if c)
+        table += acc % p * pows[i]
+    return table.ravel()
+
+
 def _blocks(parts):
-    """Pop the (packed vectors, keys) parts off the list, joined into
-    blocks of at most _BLOCK vectors, so each part is freed once used."""
+    """Pop the key arrays off the list, joined into blocks of at most
+    _BLOCK keys, so each part is freed once used."""
     parts.reverse()
     while parts:
         group = [parts.pop()]
-        size = len(group[0][1])
-        while parts and size + len(parts[-1][1]) <= _BLOCK:
-            size += len(parts[-1][1])
+        size = len(group[0])
+        while parts and size + len(parts[-1]) <= _BLOCK:
+            size += len(parts[-1])
             group.append(parts.pop())
-        yield tuple(np.concatenate(column) for column in zip(*group))
+        yield np.concatenate(group)
+
+
+def _steps(gens, p):
+    """(d, hi, n, lo) for each generator g, with key(g v) = hi[key // d]
+    + lo[key % n] on V0: the leading output digits of g read only the
+    first `pre` digits of a key and the trailing ones only the last `suf`
+    (_split), so d = p^(7 - pre) and n = p^suf.  ValueError if g does not
+    map V0 into V0; RuntimeError, before any table is built, if the
+    tables take more than ORBIT_CAP bytes in all."""
+    splits = []
+    for g in gens:
+        m, into_v0 = _on_v0(g, p)
+        if not into_v0:
+            raise ValueError("a generator does not map V0 into V0")
+        splits.append((m, _split(m, p)))
+    table_bytes = 8 * sum(p ** pre + p ** suf for _, (_, pre, suf) in splits)
+    if table_bytes > ORBIT_CAP:
+        raise RuntimeError(
+            f"orbit step tables of {table_bytes} bytes exceed cap {ORBIT_CAP}"
+        )
+    return [
+        (
+            p ** (7 - pre),
+            _table(m, range(rows), range(pre), p),
+            p ** suf,
+            _table(m, range(rows, 7), range(7 - suf, 7), p),
+        )
+        for m, (rows, pre, suf) in splits
+    ]
 
 
 def orbit(start, gens, p):
@@ -213,61 +277,39 @@ def orbit(start, gens, p):
     OrbitMap over the p^7 keys of V0 (one byte each).
 
     start must lie in V0 and every generator map V0 into V0 (ValueError
-    otherwise); a map of more than ORBIT_CAP bytes raises RuntimeError before
-    it is allocated.  A frontier vector is its 7 V0 digits as uint8 plus
-    a zero byte, viewed as one uint64 so that rows gather fast, and is
-    kept with its int64 key.  Each generator changes only some digits: a
-    step computes those rows (in float64, exact for p^7 < 2^53) and moves
-    the key by their difference.  Membership and marking are one fancy
-    index each, before anything is appended, and each generator is
-    injective, so the frontier never holds a vector twice.  Nothing is
-    decoded, sorted or searched, and the map is a set, hence the same
-    for any order of the generators.
+    otherwise).  The frontier holds int64 keys only, and a generator step
+    is two integer table lookups, hi[key // d] + lo[key % n] (_steps),
+    with no float arithmetic; membership and marking are one fancy index
+    each, before anything is appended.  A map of more than ORBIT_CAP
+    bytes, or tables of more than ORBIT_CAP bytes in all, raise
+    RuntimeError before either is allocated.  The size is the count of
+    marked keys, so a generator that is not injective cannot inflate it,
+    and the map is a set, hence the same for any order of the generators.
     """
     if p ** 7 > ORBIT_CAP:
         raise RuntimeError(f"orbit map of {p ** 7} bytes exceeds cap {ORBIT_CAP}")
-    pows = p ** np.arange(6, -1, -1, dtype=np.int64)
     start = np.asarray(start, dtype=np.int64) % p
     if start[3] != start[4]:
         raise ValueError("start vector is not in V0")
-    eye = np.eye(7, dtype=np.int64)
-    steps = []
-    for g in gens:
-        m, into_v0 = _on_v0(g, p)
-        if not into_v0:
-            raise ValueError("a generator does not map V0 into V0")
-        rows = np.flatnonzero((m != eye).any(axis=1))
-        # on the padded vector: the changed rows, and the old rows' key part
-        mt = np.zeros((8, len(rows)))
-        mt[:7] = m[rows].T
-        old = np.zeros(8)
-        old[rows] = pows[rows]
-        steps.append((rows, mt, pows[rows].astype(np.float64), old))
-    vec = np.zeros(8, dtype=np.uint8)
-    vec[:7] = start[_V0]
-    keys = np.array([start[_V0] @ pows])
+    steps = _steps(gens, p)
+    keys = np.array([start[_V0] @ p ** np.arange(6, -1, -1)])
     seen = np.zeros(p ** 7, dtype=bool)
     seen[keys] = True
-    size = 1
-    frontier = [(vec.view(np.uint64), keys)]
+    frontier = [keys]
     while frontier:
         parts = []
-        for packed, keys in _blocks(frontier):
-            wide = packed.view(np.uint8).reshape(-1, 8).astype(np.float64)
-            for rows, mt, weights, old in steps:
-                new = wide @ mt
-                new -= np.floor(new / p) * p
-                images = keys + (new @ weights - wide @ old).astype(np.int64)
-                fresh = ~seen[images]
-                images = images[fresh]
+        for keys in _blocks(frontier):
+            for d, hi, n, lo in steps:
+                # keys - keys // n * n is keys % n and compress() a boolean
+                # index, each at under half the cost of numpy's own form
+                images = hi[keys // d]
+                images += lo[keys - keys // n * n]
+                images = images.compress(~seen[images])
                 if len(images):
                     seen[images] = True
-                    fresh_packed = packed[fresh]
-                    fresh_packed.view(np.uint8).reshape(-1, 8)[:, rows] = new[fresh]
-                    parts.append((fresh_packed, images))
-                    size += len(images)
+                    parts.append(images)
         frontier = parts
-    return OrbitMap(seen, size)
+    return OrbitMap(seen, int(np.count_nonzero(seen)))
 
 
 def _same_map(a, b):

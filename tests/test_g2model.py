@@ -34,7 +34,6 @@ from g2adjoint.g2model import (
     so8_defect,
     su21_generic,
     sym,
-    torus_direction,
     torus_matrix,
     trilinear,
     v_rho_vector,
@@ -51,6 +50,11 @@ def pairing(u, w):
     for i in range(n):
         acc = acc + u[i] * w[n - 1 - i]
     return acc
+
+
+def torus_direction(T1, T2):
+    """The Cartan direction of g2 with parameters (T1, T2)."""
+    return g2_element(T1, T2)
 
 
 def coroot_element(param, t, t_inverse):

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from g2adjoint.algebra import LaurentPoly
 from g2adjoint.g2model import ROOT_EXP, ROOT_PARAMS, one_param, root_exp
 from g2adjoint.orbits import (
+    _V0,
     _key_norms,
+    _steps,
     _vectors,
     bfs_generators,
     companion_rho,
@@ -110,6 +112,37 @@ def test_orbit_cap_is_enforced(monkeypatch):
     gens = group_generators(5, "full")
     with pytest.raises(RuntimeError):
         orbit(np.array([0, 0, 1, 0, 0, 2, 0, 0]), gens, 5)
+
+
+def test_a_non_injective_generator_does_not_inflate_the_size():
+    # v7 -> 0 and v0 += v7 maps V0 into V0 but is not injective, so two
+    # keys of one block can share an image; the size is the map's count
+    g = np.eye(8, dtype=np.int64)
+    g[7, 7] = 0
+    g[0, 7] = 1
+    out = orbit(_v_rho(2, 5), bfs_generators(5, "full") + [g], 5)
+    assert len(out) == np.count_nonzero(out.seen) == 5 ** 7
+
+
+def test_tables_over_cap_are_refused_before_any_is_built(monkeypatch):
+    from g2adjoint import orbits
+
+    gens = group_generators(5, "full")
+    table_bytes = sum(hi.nbytes + lo.nbytes for _, hi, _, lo in _steps(gens, 5))
+    # under this cap the q^7-byte map fits and the tables do not
+    assert table_bytes > 5 ** 7
+    monkeypatch.setattr(orbits, "ORBIT_CAP", table_bytes)
+    assert len(_steps(gens, 5)) == len(gens)
+
+    def refuse(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(orbits, "_table", refuse)
+    with pytest.raises(AssertionError):
+        orbit(_v_rho(2, 5), gens, 5)
+    monkeypatch.setattr(orbits, "ORBIT_CAP", table_bytes - 1)
+    with pytest.raises(RuntimeError, match="tables of"):
+        orbit(_v_rho(2, 5), gens, 5)
 
 
 def test_sphere_count_matches_closed_form():
@@ -219,6 +252,27 @@ def test_key_norms_match_decoded_vectors(q, data):
     vectors = _vectors(keys, q)
     expected = (vectors * vectors[:, ::-1]).sum(axis=1) % q
     assert np.array_equal(_key_norms(keys, q), expected)
+
+
+@pytest.mark.parametrize("which", ["full", "parabolic"])
+@pytest.mark.parametrize(
+    "q, source", [(q, "bfs") for q in (5, 7, 13, 17)] + [(5, "group"), (7, "group")]
+)
+@settings(max_examples=5, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_step_tables_match_the_matrix_product(q, source, which, data):
+    # the two-lookup image of a key against an independent route: decode
+    # it, multiply by the 8x8 generator mod q, and key the product again
+    gens = (bfs_generators if source == "bfs" else group_generators)(q, which)
+    keys = np.array(
+        data.draw(st.lists(st.integers(0, q ** 7 - 1), min_size=1, max_size=100)),
+        dtype=np.int64,
+    )
+    pows = q ** np.arange(6, -1, -1)
+    vectors = _vectors(keys, q)
+    for g, (d, hi, n, lo) in zip(gens, _steps(gens, q)):
+        expected = (vectors @ g.T % q)[:, _V0] @ pows
+        assert np.array_equal(hi[keys // d] + lo[keys % n], expected)
 
 
 def _part1_representative(orb):
