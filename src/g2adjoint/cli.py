@@ -44,44 +44,37 @@ def build_parser():
         # invalid values are reported with this suite's usage line
         p.set_defaults(usage_error=p.error)
 
-    common(suites.add_parser("lie", help="Lie-algebra model identities"))
-    common(suites.add_parser("iwasawa", help="torus element and both Iwasawa "
-                             "factorizations (prints the derived factors)"))
+    def degree(p):
+        p.add_argument("--degree", type=int, default=DEFAULT_DEGREE,
+                       help=f"truncation degree (default {DEFAULT_DEGREE})")
 
-    p = suites.add_parser("identities", help="the three power-series identities")
-    p.add_argument("--degree", type=int, default=DEFAULT_DEGREE,
-                   help=f"truncation degree (default {DEFAULT_DEGREE})")
-    common(p)
+    def case(p):
+        p.add_argument("--case", choices=("split", "nonsplit", "both"),
+                       default="both",
+                       help="split or non-split case (default both)")
 
-    p = suites.add_parser("lfactor", help="local L-factor determinant forms")
-    p.add_argument("--case", choices=("split", "nonsplit", "both"),
-                   default="both")
-    common(p)
+    def field(p):
+        p.add_argument("--q", type=int, default=DEFAULT_Q,
+                       help=f"residue characteristic (default {DEFAULT_Q})")
+        p.add_argument("--rho", type=int, default=DEFAULT_RHO,
+                       help=f"the unit rho mod q (default {DEFAULT_RHO})")
 
-    p = suites.add_parser(
-        "integral",
-        help="inner integral and the end-to-end unramified identity "
-        "(reports the winning zeta triple)",
-    )
-    p.add_argument("--case", choices=("split", "nonsplit", "both"),
-                   default="both")
-    p.add_argument("--degree", type=int, default=DEFAULT_DEGREE,
-                   help=f"truncation degree (default {DEFAULT_DEGREE})")
-    common(p)
-
-    p = suites.add_parser("orbits", help="finite-field double-coset analogue")
-    p.add_argument("--q", type=int, default=DEFAULT_Q,
-                   help=f"residue characteristic (default {DEFAULT_Q})")
-    p.add_argument("--rho", type=int, default=DEFAULT_RHO,
-                   help=f"the unit rho mod q (default {DEFAULT_RHO})")
-    common(p)
-
-    p = suites.add_parser("all", help="every suite")
-    p.add_argument("--degree", type=int, default=DEFAULT_DEGREE)
-    p.add_argument("--q", type=int, default=DEFAULT_Q)
-    p.add_argument("--rho", type=int, default=DEFAULT_RHO)
-    p.set_defaults(case="both")
-    common(p)
+    for name, help_text, flags in (
+        ("lie", "Lie-algebra model identities", ()),
+        ("iwasawa", "torus element and both Iwasawa factorizations (prints "
+         "the derived factors)", ()),
+        ("identities", "the three power-series identities", (degree,)),
+        ("lfactor", "local L-factor determinant forms", (case,)),
+        ("integral", "inner integral and the end-to-end unramified identity "
+         "(reports the winning zeta triple)", (case, degree)),
+        ("orbits", "finite-field double-coset analogue", (field,)),
+        ("all", "every suite", (degree, field)),
+    ):
+        p = suites.add_parser(name, help=help_text)
+        for flag in flags + (common,):
+            flag(p)
+    # `all` has no --case flag; it runs both cases
+    suites.choices["all"].set_defaults(case="both")
     return parser
 
 

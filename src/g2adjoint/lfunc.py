@@ -165,13 +165,8 @@ def _first_series_mismatch(lhs, rhs):
     slices = TruncatedSeries(diff, lhs.var, lhs.bound).slices()
     degree = min(slices)
     poly = slices[degree]
-    exps, _ = min(poly.terms.items())
-    mono = "*".join(
-        f"{n}^{e}" if e != 1 else n
-        for n, e in zip(poly.variables, exps)
-        if e
-    )
-    return f"series degree {degree}, monomial {mono or '1'}"
+    mono = LaurentPoly(poly.variables, {min(poly.terms): 1})
+    return f"series degree {degree}, monomial {mono}"
 
 
 def lattice_sum(xname, bound, pairs, weight):

@@ -27,12 +27,15 @@ from __future__ import annotations
 import numpy as np
 
 from .g2model import (
+    J8,
     OPPOSITE_ROOT,
+    PARABOLIC_BLOCKS,
     PARABOLIC_PARAMS,
     ROOT_EXP,
     ROOT_PARAMS,
     SIMPLE_PARAMS,
     TRILINEAR,
+    V0_VECTOR,
 )
 from .report import VerificationReport, merge_reports
 
@@ -139,10 +142,6 @@ def bfs_generators(q, which="full"):
     raise ValueError(f"unknown generator set {which!r}")
 
 
-def _j_matrix():
-    return np.fliplr(np.eye(8, dtype=np.int64))
-
-
 def _trilinear_dense():
     t = np.zeros((8, 8, 8), dtype=np.int64)
     for (i, j, k), c in TRILINEAR.items():
@@ -153,8 +152,8 @@ def _trilinear_dense():
 def generator_invariants_hold(gens, q):
     """Every generator preserves J, the trilinear form, and v0."""
     g = np.stack(gens)
-    j = _j_matrix()
-    v0 = np.array([0, 0, 0, 1, -1, 0, 0, 0], dtype=np.int64) % q
+    j = np.array(J8.entries, dtype=np.int64)
+    v0 = np.array(V0_VECTOR, dtype=np.int64) % q
     preserves_j = (g @ j % q @ g.transpose(0, 2, 1) % q == j).all()
     fixes_v0 = (g @ v0 % q == v0).all()
     # T(g x, g y, g z) for all generators at once, one index at a time
@@ -175,15 +174,6 @@ def _on_v0(g, p):
     cols = g[:, _V0] % p
     cols[:, 3] = (g[:, 3] + g[:, 4]) % p
     return cols[_V0], bool((cols[3] == cols[4]).all())
-
-
-def _vectors(keys, p):
-    """The V0 vectors (int64 rows of length 8) of an array of keys."""
-    out = np.empty((len(keys), 8), dtype=np.int64)
-    for i in _V0[::-1]:
-        keys, out[:, i] = np.divmod(keys, p)
-    out[:, 4] = out[:, 3]
-    return out
 
 
 class OrbitMap:
@@ -324,11 +314,7 @@ def _same_map(a, b):
 def _key_norms(keys, p):
     """<v, v> = sum v_i v_{7-i} = 2(v0 v7 + v1 v6 + v2 v5 + v3^2) mod p
     of the V0 vectors of an array of keys, read off their digits."""
-    digits = []
-    for _ in range(7):
-        keys, digit = np.divmod(keys, p)
-        digits.append(digit)
-    v7, v6, v5, v3, v2, v1, v0 = digits
+    v0, v1, v2, v3, v5, v6, v7 = np.unravel_index(keys, (p,) * 7)
     return 2 * (v0 * v7 + v1 * v6 + v2 * v5 + v3 * v3) % p
 
 
@@ -441,9 +427,10 @@ def double_coset_check(q, rho):
         f"v3 = 0 part: {part0}; v3 != 0 part: {part1}",
     )
 
-    # P is block upper triangular, so rows 7, 8 of each parabolic
-    # generator only see columns 7, 8 and the predicate is P-stable
-    stable = all((g[6:, :6] == 0).all() for g in parabolic)
+    # P is block upper triangular (PARABOLIC_BLOCKS), so rows 7, 8 of each
+    # parabolic generator only see columns 7, 8 and the predicate is P-stable
+    below = np.subtract.outer(PARABOLIC_BLOCKS, PARABOLIC_BLOCKS) > 0
+    stable = not np.stack(parabolic)[:, below].any()
     report.check(
         "v3-predicate-is-P-stable",
         stable,
@@ -464,13 +451,11 @@ def double_coset_check(q, rho):
         return len(sub), _same_map(sub.seen, orb.seen)
 
     size0, equal0 = parabolic_orbit_is_part(v_rho, True)
-    # part1 is empty only when the BFS missed the sphere; then FAIL, not crash
-    size1, equal1 = 0, False
-    if part1:
-        # the lexicographically first vector of part1, as the least key
-        row = int(cols[:, 1:].any(axis=1).argmax())
-        key = row * q * q + 1 + int(cols[row, 1:].argmax())
-        size1, equal1 = parabolic_orbit_is_part(_vectors(np.array([key]), q)[0], False)
+    # part1 starts at x_j(1) v_rho = (0, 0, 1, 0, 0, rho, 0, -1), a point
+    # of the sphere with v7 != 0; if the G2 BFS missed it, the map
+    # comparison FAILs
+    w1 = one_param_mod("j", 1, q) @ v_rho % q
+    size1, equal1 = parabolic_orbit_is_part(w1, False)
     two_orbits = equal0 and equal1
     report.check(
         "exactly-two-parabolic-orbits",

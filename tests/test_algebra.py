@@ -550,6 +550,21 @@ def test_truncated_series_incompatible_bounds():
     assert _first_series_mismatch(a, TruncatedSeries(v("X"), "X", 3)) is None
 
 
+def test_first_series_mismatch_names_the_least_monomial():
+    from g2adjoint.lfunc import _first_series_mismatch
+
+    x = v("X")
+    a = TruncatedSeries(x, "X", 4)
+    for extra, text in (
+        (3 * v("T1", -1) * v("T2") ** 2 * x ** 2 + v("T2") * x ** 3,
+         "series degree 2, monomial T1^-1*T2^2*X^2"),
+        (v("T2") * x ** 2 - 2 * v("T1") * x ** 2, "series degree 2, monomial T2*X^2"),
+        (LaurentPoly.constant(5), "series degree 0, monomial 1"),
+    ):
+        got = _first_series_mismatch(TruncatedSeries(x + extra, "X", 4), a)
+        assert got == text
+
+
 def test_truncated_series_with_other_bounds_are_unequal():
     a = TruncatedSeries(v("X"), "X", 3)
     b = TruncatedSeries(v("X"), "X", 4)

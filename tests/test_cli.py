@@ -2,10 +2,11 @@
 
 import hashlib
 import json
+import re
 
 import pytest
 
-from g2adjoint.cli import main
+from g2adjoint.cli import DEFAULT_DEGREE, DEFAULT_Q, DEFAULT_RHO, main
 
 
 def test_verify_lie_text(capsys):
@@ -51,6 +52,17 @@ def test_invalid_value_exits_2(argv, capsys):
     assert captured.out == ""
     # the usage line of the suite that was invoked, not the top-level one
     assert captured.err.startswith(f"usage: g2adjoint verify {argv[1]} ")
+
+
+def test_all_help_shows_each_default(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "all", "--help"])
+    assert err.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for flag, default in (
+        ("--degree", DEFAULT_DEGREE), ("--q", DEFAULT_Q), ("--rho", DEFAULT_RHO)
+    ):
+        assert re.search(rf"{flag} [A-Z]+ [a-z ]+\(default {default}\)", text), flag
 
 
 def test_identities_degree_8_passes(capsys):

@@ -19,7 +19,9 @@ from g2adjoint.g2model import (
     bracket,
     chevalley_n,
     derivation_defect,
+    entries_polynomial_in,
     g2_element,
+    g2_generic,
     g2_read_params,
     in_parabolic,
     iwasawa_case1,
@@ -168,6 +170,63 @@ def test_su21_display_satisfies_g2_conditions():
     assert is_zero_matrix(so8_defect(y))
     assert derivation_defect(y) is None
     assert annihilates_v_rho(y)
+
+
+def _with_symbol_at_2_5(x):
+    """x with a stray symbol s added at entry (2, 5)."""
+    rows = [list(row) for row in x.entries]
+    rows[2][5] = rows[2][5] + sym("s")
+    return RingMatrix(rows)
+
+
+def derivation_defect_512(matrix):
+    """First of all 512 ordered basis triples where X fails to act as a
+    derivation of T, each contracted with TRILINEAR by hand: the oracle
+    for derivation_defect."""
+    cols = [[matrix[i, j] for i in range(8)] for j in range(8)]
+    for i in range(8):
+        for j in range(8):
+            for k in range(8):
+                acc = LaurentPoly.zero()
+                for m in range(8):
+                    acc = acc + TRILINEAR.get((m, j, k), 0) * cols[i][m]
+                    acc = acc + TRILINEAR.get((i, m, k), 0) * cols[j][m]
+                    acc = acc + TRILINEAR.get((i, j, m), 0) * cols[k][m]
+                if not acc.is_zero():
+                    return (i, j, k)
+    return None
+
+
+def test_derivation_defect_finds_the_least_failing_triple():
+    x = g2_generic()
+    assert derivation_defect_512(x) is derivation_defect(x) is None
+    bad = _with_symbol_at_2_5(x)
+    assert derivation_defect_512(bad) == derivation_defect(bad) == (1, 5, 7)
+
+
+def test_perturbed_display_fails_both_lie_conditions(monkeypatch):
+    from g2adjoint import g2model
+
+    real = g2model.g2_generic
+    monkeypatch.setattr(
+        g2model, "g2_generic", lambda **values: _with_symbol_at_2_5(real(**values))
+    )
+    checks = {c.name: c for c in verify_lie_models().checks}
+    so8 = checks["g2-so8-condition"]
+    # (X J + J X^t)[2, 2] = 2 X[2, 5] is the first entry the symbol reaches
+    assert (so8.status, so8.counterexample) == ("fail", "entry (2, 2)")
+    derivation = checks["g2-derivation-of-trilinear-form"]
+    assert derivation.status == "fail"
+    assert derivation.counterexample == "basis triple (1, 5, 7)"
+
+
+def test_entries_polynomial_in_rejects_stray_inverses():
+    # b -> z*a/rho puts the ratio b*rho/a in as z
+    b_ratio = {"b": sym("z") * sym("a") * sym("rho", -1)}
+    ratio = sym("b") * sym("rho") * sym("a", -1)
+    assert entries_polynomial_in(RingMatrix([[1, ratio ** 2 - 3 * ratio]]), b_ratio)
+    assert not entries_polynomial_in(RingMatrix([[ratio + sym("a", -1)]]), b_ratio)
+    assert not entries_polynomial_in(RingMatrix([[0, ratio ** -1]]), b_ratio)
 
 
 def test_root_system_is_g2():

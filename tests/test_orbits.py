@@ -12,7 +12,6 @@ from g2adjoint.orbits import (
     _V0,
     _key_norms,
     _steps,
-    _vectors,
     bfs_generators,
     companion_rho,
     coroot_mod,
@@ -90,6 +89,15 @@ def test_generator_counts():
 def test_generators_preserve_structures():
     for q in (5, 7):
         assert generator_invariants_hold(group_generators(q, "full"), q)
+
+
+def _vectors(keys, p):
+    """The V0 vectors (int64 rows of length 8) of an array of keys."""
+    out = np.empty((len(keys), 8), dtype=np.int64)
+    for i in _V0[::-1]:
+        keys, out[:, i] = np.divmod(keys, p)
+    out[:, 4] = out[:, 3]
+    return out
 
 
 def _vectors_of(orb, q):
@@ -275,9 +283,11 @@ def test_step_tables_match_the_matrix_product(q, source, which, data):
         assert np.array_equal(hi[keys // d] + lo[keys % n], expected)
 
 
-def _part1_representative(orb):
-    """First vector of the v3 != 0 part, as double_coset_check picks it."""
-    return orb[(orb[:, 6] != 0) | (orb[:, 7] != 0)][0]
+def _part1_start(rho, q):
+    """x_j(1) v_rho, where double_coset_check starts the v3 != 0 part."""
+    w1 = np.array([0, 0, 1, 0, 0, rho % q, 0, q - 1], dtype=np.int64)
+    assert np.array_equal(one_param_mod("j", 1, q) @ _v_rho(rho, q) % q, w1)
+    return w1
 
 
 @pytest.mark.parametrize("rho", [2, 4], ids=["non-square", "square"])
@@ -292,7 +302,7 @@ def test_small_generating_sets_give_the_full_orbits(rho):
     assert np.array_equal(orb.seen, orbit(v_rho, group_generators(q, "full"), q).seen)
     small_parabolic = bfs_generators(q, "parabolic")
     parabolic = group_generators(q, "parabolic")
-    for start in (v_rho, _part1_representative(vectors)):
+    for start in (v_rho, _part1_start(rho, q)):
         got = orbit(start, small_parabolic, q)
         expected = _reference_orbit(start, small_parabolic, q)
         assert np.array_equal(_vectors_of(got, q), expected)
@@ -308,8 +318,7 @@ def test_parabolic_orbit_sizes_match_closed_forms(q):
         orbit0 = orbit(v_rho, gens, q)
         assert len(orbit0) == q ** 3 * (q + sign), (q, rho)
         assert not _vectors_of(orbit0, q)[:, 6:].any()
-        orb = _vectors_of(orbit(v_rho, bfs_generators(q, "full"), q), q)
-        orbit1 = orbit(_part1_representative(orb), gens, q)
+        orbit1 = orbit(_part1_start(rho, q), gens, q)
         assert len(orbit1) == q ** 4 * (q ** 2 - 1), (q, rho)
         assert _vectors_of(orbit1, q)[:, 6:].any(axis=1).all()
 
