@@ -165,20 +165,7 @@ class LaurentPoly:
         if self.variables == other.variables:
             return self.variables, self.terms, other.terms
         names = tuple(sorted(set(self.variables) | set(other.variables)))
-
-        def remap(poly):
-            if poly.variables == names:
-                return poly.terms
-            pos = [names.index(v) for v in poly.variables]
-            out = {}
-            for exps, coeff in poly.terms.items():
-                key = [0] * len(names)
-                for p, e in zip(pos, exps):
-                    key[p] = e
-                out[tuple(key)] = coeff
-            return out
-
-        return names, remap(self), remap(other)
+        return names, _remap(self, names), _remap(other, names)
 
     def _coerce(self, other):
         if isinstance(other, LaurentPoly):
@@ -287,76 +274,55 @@ class LaurentPoly:
     def subs(self, mapping):
         """Substitute variables by scalars or polynomials, simultaneously.
 
-        A variable appearing with a negative exponent may only be replaced
+        A variable mapped to its own symbol counts as not substituted.  A
+        variable appearing with a negative exponent may only be replaced
         by a Laurent unit (single-term polynomial).
         """
-        mapping = {
-            k: v if isinstance(v, LaurentPoly) else LaurentPoly.constant(v)
-            for k, v in mapping.items()
-        }
-        values = [mapping.get(name) for name in self.variables]
-        if all(value is None for value in values):
+        images = {}
+        for i, name in enumerate(self.variables):
+            if name not in mapping:
+                continue
+            image = mapping[name]
+            if not isinstance(image, LaurentPoly):
+                image = LaurentPoly.constant(image)
+            elif image == LaurentPoly.variable(name):
+                continue
+            images[i] = image
+        if not images:
             return self
-        kept = {n for n, value in zip(self.variables, values) if value is None}
+        kept = {n for i, n in enumerate(self.variables) if i not in images}
         names = tuple(sorted(kept.union(
-            *(value.variables for value in values if value is not None)
+            *(image.variables for image in images.values())
         )))
-        index = {n: i for i, n in enumerate(names)}
-        out = {}
+        places = [(i, names.index(n)) for i, n in enumerate(self.variables)
+                  if n in kept]
+        # a term expands into its kept factors times the product of the
+        # cached powers of its images, all aligned with `names`
         powers = {}
-        if all(value is None or value.is_unit() for value in values):
-            # each term maps to one term: name^e moves e times the exponents
-            # of its value's monomial and scales by the value's coefficient^e
-            moves = []
-            for name, value in zip(self.variables, values):
-                if value is None:
-                    moves.append((((index[name], 1),), None))
-                    continue
-                (vexps, vcoeff), = value.terms.items()
-                place = tuple(zip([index[n] for n in value.variables], vexps))
-                moves.append((place, None if vcoeff == 1 else vcoeff))
-            scaled = any(scale is not None for _, scale in moves)
-            for exps, coeff in self.terms.items():
-                key = [0] * len(names)
-                for i, e in enumerate(exps):
-                    if not e:
-                        continue
-                    place, scale = moves[i]
-                    for p, m in place:
-                        key[p] += m * e
-                    if scale is not None:
-                        power = powers.get((i, e))
-                        if power is None:
-                            power = powers[i, e] = (
-                                scale ** e if e > 0 else Fraction(scale) ** e
-                            )
-                        coeff = coeff * power
-                _accumulate(out, tuple(key), _canon(coeff) if scaled else coeff)
-            return LaurentPoly._from_normal(*_prune(names, out))
+        out = {}
         for exps, coeff in self.terms.items():
             key = [0] * len(names)
-            factor = LaurentPoly.constant(coeff)
-            for i, e in enumerate(exps):
+            for i, p in places:
+                key[p] = exps[i]
+            expansion = [(tuple(key), coeff)]
+            for i, image in images.items():
+                e = exps[i]
                 if not e:
-                    continue
-                value = values[i]
-                if value is None:
-                    key[index[self.variables[i]]] = e
                     continue
                 power = powers.get((i, e))
                 if power is None:
-                    if e < 0 and not value.is_unit():
+                    if e < 0 and not image.is_unit():
                         raise NonInvertibleError(
                             f"substituting non-unit for {self.variables[i]}^{e}"
                         )
-                    power = powers[i, e] = value ** e
-                factor = factor * power
-            place = [index[n] for n in factor.variables]
-            for fexps, fcoeff in factor.terms.items():
-                full = list(key)
-                for p, e in zip(place, fexps):
-                    full[p] += e
-                _accumulate(out, tuple(full), fcoeff)
+                    power = powers[i, e] = list(_remap(image ** e, names).items())
+                expansion = [
+                    (tuple(map(_add, k1, k2)), c1 * c2)
+                    for k1, c1 in expansion
+                    for k2, c2 in power
+                ]
+            for key, c in expansion:
+                _accumulate(out, key, _canon(c))
         return LaurentPoly._from_normal(*_prune(names, out))
 
     def scale_exponents(self, factor):
@@ -410,6 +376,21 @@ def _prune(variables, terms):
         tuple(variables[i] for i in keep),
         {tuple(e[i] for i in keep): c for e, c in terms.items()},
     )
+
+
+def _remap(poly, names):
+    """The terms of `poly` with exponent vectors aligned with `names`, a
+    sorted superset of its variables."""
+    if poly.variables == names:
+        return poly.terms
+    pos = [names.index(v) for v in poly.variables]
+    out = {}
+    for exps, coeff in poly.terms.items():
+        key = [0] * len(names)
+        for p, e in zip(pos, exps):
+            key[p] = e
+        out[tuple(key)] = coeff
+    return out
 
 
 def _has_negative(terms):
@@ -570,8 +551,8 @@ def series_expand(numerator, denominator, var, bound):
     """Power-series expansion of numerator/denominator in `var`, truncated
     above degree `bound`; the denominator's degree-0 part must be a unit.
 
-    The numerator is multiplied by the inverse series term by term,
-    skipping every pair whose degrees add up to more than `bound`.
+    The numerator is multiplied by the inverse series and the product is
+    truncated again.
     """
     num = TruncatedSeries(numerator, var, bound)
     try:
@@ -580,25 +561,7 @@ def series_expand(numerator, denominator, var, bound):
         raise NonInvertibleError(
             f"cannot expand 1/({denominator}): {exc}"
         ) from None
-    names, a, b = num.poly._align(inv.poly)
-    degree = _degree_in(names, var)
-    right = [(e, c, degree(e)) for e, c in b.items()]
-    out = {}
-    for e1, c1 in a.items():
-        room = bound - degree(e1)
-        for e2, c2, d2 in right:
-            if d2 > room:
-                continue
-            key = tuple(map(_add, e1, e2))
-            total = out.get(key)
-            out[key] = c1 * c2 if total is None else total + c1 * c2
-    if _holds_fraction(a) or _holds_fraction(b):
-        out = {e: _canon(c) for e, c in out.items() if c}
-    else:
-        out = {e: c for e, c in out.items() if c}
-    return TruncatedSeries(
-        LaurentPoly._from_normal(*_prune(names, out)), var, bound
-    )
+    return TruncatedSeries(num.poly * inv.poly, var, bound)
 
 
 class RingMatrix:

@@ -192,12 +192,12 @@ def merge_reports(suite, parameters, labeled_reports):
     merged = VerificationReport(suite, parameters)
     for label, r in labeled_reports:
         for c in r.checks:
-            name = f"{label}/{c.name}" if label else c.name
+            name = f"{label}/{c.name}"
             merged.checks.append(Check(name, c.status, c.detail, c.counterexample))
         for key in r.typo_keys:
             merged.note_typo(key)
         for key, value in r.extras.items():
-            merged.extras[f"{label}/{key}" if label else key] = value
+            merged.extras[f"{label}/{key}"] = value
     return merged
 
 

@@ -141,19 +141,12 @@ def frobenius_matrix(sign=1):
 def r_matrix(satake, sign=1):
     """The 8x8 matrix of the Satake class under the adjoint representation
     (composed with the Frobenius action in the non-split case)."""
-    if isinstance(satake, (SplitClass, NonSplitClass)):
-        g = satake.diagonal()
-        g_inv = RingMatrix.diagonal([g[i, i].unit_inverse() for i in range(3)])
-        r = conjugation_matrix(g, g_inv)
-        return r if isinstance(satake, SplitClass) else r * frobenius_matrix(sign)
-    g = satake  # explicit invertible 3x3 over Fractions
-    det = g.det()
-    if det == 0:
-        raise ValueError("matrix is not invertible")
-    adj = adjugate3(g)
-    g_inv = RingMatrix([[adj[i, j] * Fraction(1, 1) / det for j in range(3)]
-                        for i in range(3)])
-    return conjugation_matrix(g, g_inv)
+    if not isinstance(satake, (SplitClass, NonSplitClass)):
+        raise TypeError(f"not a Satake class: {satake!r}")
+    g = satake.diagonal()
+    g_inv = RingMatrix.diagonal([g[i, i].unit_inverse() for i in range(3)])
+    r = conjugation_matrix(g, g_inv)
+    return r if isinstance(satake, SplitClass) else r * frobenius_matrix(sign)
 
 
 def adjoint_weights():

@@ -80,10 +80,10 @@ nonzero_scalars = scalars.filter(bool)
 
 
 @st.composite
-def polys(draw, names=NAMES, max_terms=5, coeffs=scalars):
+def polys(draw, names=NAMES, max_terms=5, coeffs=scalars, lowest=-3):
     # variables in any order; coefficients may be 0 or plain ints
     chosen = draw(st.permutations(names))[: draw(st.integers(0, len(names)))]
-    exps = st.tuples(*[st.integers(-3, 3)] * len(chosen))
+    exps = st.tuples(*[st.integers(lowest, 3)] * len(chosen))
     return LaurentPoly(chosen, draw(st.dictionaries(exps, coeffs, max_size=max_terms)))
 
 
@@ -182,14 +182,38 @@ def test_substitution_results_are_normal(p, mapping):
         assert_normal(p.subs(mapping))
 
 
+# (p, mapping) pairs that subs must accept: units (as polynomials or as
+# scalars) on any exponents, non-unit polynomials and any scalars (0 too)
+# on nonnegative exponents, and the swap of two variables
+substitutions = st.one_of(
+    st.tuples(
+        polys(),
+        st.dictionaries(
+            st.sampled_from(NAMES), st.one_of(units, nonzero_scalars), min_size=1
+        ),
+    ),
+    st.tuples(
+        polys(lowest=0),
+        st.dictionaries(
+            st.sampled_from(NAMES), st.one_of(polys(max_terms=3), scalars), min_size=1
+        ),
+    ),
+    st.tuples(polys(), st.just({"a": v("b"), "b": v("a")})),
+)
+
+
 @KERNEL
-@given(polys(), st.dictionaries(st.sampled_from(NAMES), units, min_size=1))
-def test_unit_substitution_matches_term_by_term(p, mapping):
+@given(substitutions)
+def test_substitution_matches_term_by_term(case):
+    p, mapping = case
     expected = LaurentPoly.zero()
     for exps, coeff in p.terms.items():
         term = LaurentPoly.constant(coeff)
         for name, e in zip(p.variables, exps):
-            term = term * mapping.get(name, v(name)) ** e
+            value = mapping.get(name, v(name))
+            if not isinstance(value, LaurentPoly):
+                value = LaurentPoly.constant(value)
+            term = term * value ** e
         expected = expected + term
     result = p.subs(mapping)
     assert_normal(result)
@@ -254,6 +278,8 @@ def test_inverses_of_integers_are_fractions():
     half = LaurentPoly.monomial(Fraction(1, 2), {"a": 1})
     assert type(only_coeff(half ** 0)) is int
     assert type(only_coeff(half * 2)) is int
+    assert type(only_coeff(half.subs({"a": 2}))) is int
+    assert type(only_coeff(half.subs({"a": 2 * v("b")}))) is int
     assert type(LaurentPoly.constant(Fraction(4, 2)).as_fraction()) is Fraction
     assert only_coeff(LaurentPoly.constant(True)) == 1
     assert type(only_coeff(LaurentPoly.constant(True))) is int
@@ -265,7 +291,7 @@ def test_substitution():
     p = v("a", 2) * v("b", -1) + 3
     q = p.subs({"b": LaurentPoly.monomial(1, {"c": 2})})
     assert q == v("a", 2) * v("c", -2) + 3
-    with pytest.raises(NonInvertibleError):
+    with pytest.raises(NonInvertibleError, match=r"non-unit for b\^-1"):
         p.subs({"b": v("c") + 1})
     assert p.subs({"a": 2, "b": Fraction(1, 2)}) == 11
 
@@ -528,8 +554,13 @@ def test_equal_values_hash_equal(poly, scalar):
 
 
 def test_substitution_of_absent_variable_is_identity():
+    # a variable mapped to its own symbol counts as not substituted
     p = v("a") + 1
     assert p.subs({"zz": 7}) is p
+    assert p.subs({"a": v("a")}) is p
+    q = v("a") * v("b", -1) + v("b")
+    assert q.subs({"a": v("a"), "b": 2}) == Fraction(1, 2) * v("a") + 2
+    assert q.subs({"a": v("a"), "b": v("a")}) == 1 + v("a")
 
 
 def test_truncated_series_rejects_negative_series_exponent():

@@ -177,19 +177,24 @@ def test_verify_all_document(capsys):
 
 
 @pytest.mark.parametrize(
-    "rho, digest",
+    "degree, rho, digest",
     [
-        (1, "5d81df0e75c39aa6a61b3a77e70bd2e47cb23c094933340239b220cff919ce96"),
-        (3, "c4039af6444dffd0bdf8b069287625b12c2311c23f144e5d6557cc4968697045"),
-        (4, "991e187a9a5dde33bcae46c59e80812bacb02adc2d7c1e2d1585280b8f97ac4a"),
+        (6, 1, "5d81df0e75c39aa6a61b3a77e70bd2e47cb23c094933340239b220cff919ce96"),
+        (6, 3, "c4039af6444dffd0bdf8b069287625b12c2311c23f144e5d6557cc4968697045"),
+        (6, 4, "991e187a9a5dde33bcae46c59e80812bacb02adc2d7c1e2d1585280b8f97ac4a"),
+        (2, 1, "c43b962ead21002ce1cdba2ae08162c6571af584f88fec642a13669162039c83"),
+        (2, 2, "7ac884ac4bfbb1cc8ed12d97055afb4403e2ad012e9f774c9fc4ec01f842314f"),
+        (2, 3, "d803fa6b5709f34762cf5a78c80577d029db9ff768dbb96c4418fbcbe8abaecd"),
+        (2, 4, "f7acc49d5c2cf79670f45ce5b4e7f533b50123e7025e608613bd7408f7187839"),
     ],
-    ids=["1", "3", "4"],
+    ids=["1", "3", "4", "tiny-1", "tiny-2", "tiny-3", "tiny-4"],
 )
-def test_verify_all_digest_other_rhos(capsys, rho, digest):
+def test_verify_all_digest_other_rhos(capsys, degree, rho, digest):
     # both quadratic classes at q = 5, byte for byte: the sha256 values are
-    # perfbench/gate.py's VERIFY_ALL_DIGESTS[("full", rho)]
+    # perfbench/gate.py's VERIFY_ALL_DIGESTS[("full", rho)] at degree 6 and
+    # [("tiny", rho)] at degree 2, where a drift in the lowest terms shows
     assert main(
-        ["verify", "all", "--degree", "6", "--rho", str(rho), "--format",
+        ["verify", "all", "--degree", str(degree), "--rho", str(rho), "--format",
          "json", "--no-timestamp"]
     ) == 0
     out = capsys.readouterr().out
