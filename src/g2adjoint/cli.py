@@ -4,6 +4,9 @@ Subcommands (all under `verify`): lie, iwasawa, identities, lfactor,
 integral, orbits, all.  Output is human-readable text or a stable JSON
 document; exit code 0 when every check passes, 1 on any failure, 2 on
 usage errors and invalid values.
+
+Importing this module sets OPENBLAS_NUM_THREADS to 1 unless it is already
+set, before numpy loads.
 """
 
 from __future__ import annotations
@@ -12,6 +15,11 @@ import argparse
 import os
 import sys
 import time
+
+# The package does only integer numpy work (the orbit BFS) and makes no
+# BLAS call; without this, OpenBLAS starts a worker per extra core when
+# numpy loads, and each one spins waiting for work that never comes.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import g2model, lfunc, orbits
 from .report import merge_reports, reports_to_json

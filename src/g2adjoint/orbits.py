@@ -20,6 +20,9 @@ comparison of the check are read off maps without decoding the orbit;
 norms are read off the digits of its keys.  ORBIT_CAP bounds the bytes
 of one map, and of the tables of one BFS; a q whose map is over it is
 refused before any BFS.
+
+The BFS makes no BLAS call.  The CLI loads numpy with one OpenBLAS thread;
+importing this module as a library leaves the host's BLAS settings alone.
 """
 
 from __future__ import annotations

@@ -129,6 +129,12 @@ class VerificationReport:
     extras: dict = field(default_factory=dict)
 
     def check(self, name, ok, detail="", counterexample=None):
+        # a truthy non-bool (an array, a mismatch string, a nonzero
+        # polynomial) must not record a PASS
+        if type(ok) is not bool:
+            raise TypeError(
+                f"check {name!r}: ok must be a bool, not {type(ok).__name__}"
+            )
         status = "pass" if ok else "fail"
         self.checks.append(Check(name, status, detail, counterexample))
         return ok

@@ -2,11 +2,66 @@
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from g2adjoint.cli import DEFAULT_DEGREE, DEFAULT_Q, DEFAULT_RHO, main
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+# the variables OpenBLAS reads its thread count from
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def fresh_python(*args, **env):
+    """Run a fresh interpreter on the package in ./src, with none of the
+    BLAS thread variables set beyond those in `env`.  This process may
+    already carry them: importing `cli` sets one."""
+    base = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    return subprocess.run(
+        [sys.executable, *args], env={**base, "PYTHONPATH": str(SRC), **env},
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+THREADS_AFTER_IMPORT = """
+import os
+import g2adjoint.cli
+tasks = "/proc/self/task"
+print(os.environ.get("OPENBLAS_NUM_THREADS"))
+print(len(os.listdir(tasks)) if os.path.isdir(tasks) else "")
+"""
+
+
+def test_cli_loads_numpy_with_one_blas_thread():
+    proc = fresh_python("-c", THREADS_AFTER_IMPORT)
+    assert proc.returncode == 0, proc.stderr
+    value, threads = proc.stdout.splitlines()
+    assert value == "1"
+    # no OpenBLAS worker beside the main thread
+    assert threads in ("1", "")
+
+
+def test_cli_keeps_a_preset_blas_thread_count():
+    proc = fresh_python("-c", THREADS_AFTER_IMPORT, OPENBLAS_NUM_THREADS="3")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "3"
+
+
+def test_module_entry_point():
+    proc = fresh_python("-m", "g2adjoint", "verify", "lie")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.rstrip("\n").endswith("overall: PASS")
+    proc = fresh_python("-m", "g2adjoint", "verify", "orbits", "--q", "9")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "is not prime" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_verify_lie_text(capsys):

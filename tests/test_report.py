@@ -2,8 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from g2adjoint.algebra import LaurentPoly
 from g2adjoint.report import (
     TYPOS,
     VerificationReport,
@@ -22,6 +24,23 @@ def test_pass_fail_logic():
     assert not r.passed
     statuses = [c.status for c in r.checks]
     assert statuses == ["pass", "info", "fail"]
+
+
+@pytest.mark.parametrize(
+    "ok",
+    [
+        "entry (0, 0) differs",
+        LaurentPoly.variable("a"),
+        np.array([True]),
+    ],
+    ids=["str", "LaurentPoly", "ndarray"],
+)
+def test_check_takes_only_a_bool(ok):
+    # each of these is truthy, and would otherwise record a PASS
+    r = VerificationReport("demo")
+    with pytest.raises(TypeError, match="ok must be a bool"):
+        r.check("truthy", ok)
+    assert r.checks == []
 
 
 def test_unknown_typo_key_rejected():
