@@ -17,9 +17,15 @@ and one by a trailing run, with no float arithmetic and nothing decoded.
 It marks its orbit in an occupancy map of p^7 bytes, one per key, so the
 closure is a set (hence order-independent), and the partition and every
 comparison of the check are read off maps without decoding the orbit;
-norms are read off the digits of its keys.  ORBIT_CAP bounds the bytes
-of one map, and of the tables of one BFS; a q whose map is over it is
-refused before any BFS.
+norms are read off the digits of its keys, split by an int32 divide
+chain.
+
+What depends on q alone (the generator lists and their verdicts, the
+BFS generating sets and their step tables) is a FieldSetup, which
+verify_orbits builds once and hands to the check of both quadratic
+classes; nothing is cached between calls.  ORBIT_CAP bounds the bytes
+of one map, and of all the step tables a FieldSetup holds at once; a q
+whose map is over it is refused before any BFS.
 
 The BFS makes no BLAS call.  The CLI loads numpy with one OpenBLAS thread;
 importing this module as a library leaves the host's BLAS settings alone.
@@ -42,8 +48,9 @@ from .g2model import (
 )
 from .report import VerificationReport, merge_reports
 
-# bytes of one occupancy map, and of one BFS's step tables: q = 17 (a
-# 391 MB map, 22 MB of tables) runs, q = 19 (an 852 MB map) does not
+# bytes of one occupancy map, and of all the step tables of a FieldSetup:
+# q = 17 (a 391 MB map, 34 MB of tables) runs, q = 19 (an 852 MB map)
+# does not
 ORBIT_CAP = 2 ** 29
 # vectors per BFS block, and keys per chunk where a map is read or compared
 _BLOCK = 1 << 14
@@ -265,7 +272,7 @@ def _steps(gens, p):
     ]
 
 
-def orbit(start, gens, p):
+def orbit(start, gens, p, steps=None):
     """Closure of {start} under left multiplication by gens, as an
     OrbitMap over the p^7 keys of V0 (one byte each).
 
@@ -273,18 +280,23 @@ def orbit(start, gens, p):
     otherwise).  The frontier holds int64 keys only, and a generator step
     is two integer table lookups, hi[key // d] + lo[key % n] (_steps),
     with no float arithmetic; membership and marking are one fancy index
-    each, before anything is appended.  A map of more than ORBIT_CAP
-    bytes, or tables of more than ORBIT_CAP bytes in all, raise
-    RuntimeError before either is allocated.  The size is the count of
-    marked keys, so a generator that is not injective cannot inflate it,
-    and the map is a set, hence the same for any order of the generators.
+    each, before anything is appended.  `steps`, if given, is _steps(gens,
+    p) built beforehand, one entry per generator; otherwise it is built
+    here.  A map of more than ORBIT_CAP bytes, or tables of more than
+    ORBIT_CAP bytes in all, raise RuntimeError before either is allocated.
+    The size is the count of marked keys, so a generator that is not
+    injective cannot inflate it, and the map is a set, hence the same for
+    any order of the generators.
     """
     if p ** 7 > ORBIT_CAP:
         raise RuntimeError(f"orbit map of {p ** 7} bytes exceeds cap {ORBIT_CAP}")
     start = np.asarray(start, dtype=np.int64) % p
     if start[3] != start[4]:
         raise ValueError("start vector is not in V0")
-    steps = _steps(gens, p)
+    if steps is None:
+        steps = _steps(gens, p)
+    elif len(steps) != len(gens):
+        raise ValueError(f"{len(steps)} step tables for {len(gens)} generators")
     keys = np.array([start[_V0] @ p ** np.arange(6, -1, -1)])
     seen = np.zeros(p ** 7, dtype=bool)
     seen[keys] = True
@@ -316,9 +328,27 @@ def _same_map(a, b):
 
 def _key_norms(keys, p):
     """<v, v> = sum v_i v_{7-i} = 2(v0 v7 + v1 v6 + v2 v5 + v3^2) mod p
-    of the V0 vectors of an array of keys, read off their digits."""
-    v0, v1, v2, v3, v5, v6, v7 = np.unravel_index(keys, (p,) * 7)
-    return 2 * (v0 * v7 + v1 * v6 + v2 * v5 + v3 * v3) % p
+    of the V0 vectors of an array of keys, read off their digits.
+
+    The digits are split off in int32, least significant first, so every
+    key below p^7 must fit in int32 (ValueError otherwise)."""
+    if p ** 7 - 1 > np.iinfo(np.int32).max:
+        raise ValueError(f"keys below {p}^7 do not fit in int32")
+    rest = np.asarray(keys).astype(np.int32)
+    digits = []
+    for _ in range(6):
+        high = rest // p
+        rest -= high * p
+        digits.append(rest)
+        rest = high
+    v7, v6, v5, v3, v2, v1 = digits
+    norm = rest * v7
+    norm += v1 * v6
+    norm += v2 * v5
+    norm += v3 * v3
+    norm *= 2
+    norm %= p
+    return norm
 
 
 def sphere_count(q, rho):
@@ -346,11 +376,64 @@ def is_square_mod(rho, q):
     return pow(rho % q, (q - 1) // 2, q) == 1
 
 
-def double_coset_check(q, rho):
+class FieldSetup:
+    """What double_coset_check needs of F_q alone, for both quadratic
+    classes: the verdicts on the generator lists, the BFS generating sets
+    and the step tables of their generators.
+
+    Every BFS runs on the two-element sets of bfs_generators, which are
+    products of elements of the lists checked here: x_a(1), x_a(1) x_l(1)
+    and x_g(1) x_b(1).  (Each pair commutes, since alpha1 - alpha2 is not
+    a root, so the products are exp(E_a + E_l) and exp(E_g + E_b);
+    soundness needs only that they are products.)  So they generate
+    subgroups H <= G2(F_q) and H_P <= P(F_q).  The H-orbit lies in the
+    G-orbit, which lies in the norm sphere; orbit-equals-sphere then
+    forces all three to be equal.  Each H_P-orbit equals its part of the
+    partition, and the predicate is P-stable (checked on all of P's
+    generators), so the P-orbit equals the part too.  A set that
+    generates too little can thus make a check FAIL, never PASS falsely.
+
+    The BFS runs over the keys of V0 = v0^perp = {v3 = v4}: a generator
+    that fixes v0 and preserves J preserves v0^perp, and v_rho lies in
+    it.  Each BFS generator is also tested on V0 directly; one that
+    leaves V0 is left out of every BFS and makes orbit-inside-norm-sphere
+    FAIL.  A generator in both sets (x_g(1) x_b(1)) has one pair of step
+    tables, and ORBIT_CAP bounds all the tables together.
+    """
+
+    def __init__(self, q):
+        self.q = q
+        full = group_generators(q, "full")
+        self.full_count = len(full)
+        self.invariants_hold = generator_invariants_hold(full, q)
+        # P is block upper triangular (PARABOLIC_BLOCKS), so rows 7, 8 of
+        # each parabolic generator only see columns 7, 8 and the predicate
+        # is P-stable
+        below = np.subtract.outer(PARABOLIC_BLOCKS, PARABOLIC_BLOCKS) > 0
+        parabolic = np.stack(group_generators(q, "parabolic"))
+        self.p_stable = not parabolic[:, below].any()
+
+        sets = [bfs_generators(q, which) for which in ("full", "parabolic")]
+        self.gens, self.parabolic_gens = (
+            [g for g in s if _on_v0(g, q)[1]] for s in sets
+        )
+        self.leaving = sum(map(len, sets)) - len(self.gens) - len(self.parabolic_gens)
+        distinct = {g.tobytes(): g for g in self.gens + self.parabolic_gens}
+        tables = dict(zip(distinct, _steps(list(distinct.values()), q)))
+        self.steps = [tables[g.tobytes()] for g in self.gens]
+        self.parabolic_steps = [tables[g.tobytes()] for g in self.parabolic_gens]
+
+
+def double_coset_check(q, rho, setup=None):
     """Desk-scale analogue of the two-element double-coset statement:
     the G2(F_q)-orbit of v_rho meets exactly two P(F_q)-orbits, separated
-    by vanishing of the last two coordinates."""
+    by vanishing of the last two coordinates.  `setup` is a FieldSetup of
+    the same q, built here if not given."""
     _validate(q, rho)
+    if setup is None:
+        setup = FieldSetup(q)
+    elif setup.q != q:
+        raise ValueError(f"a FieldSetup of q = {setup.q} for q = {q}")
     square = is_square_mod(rho, q)
     report = VerificationReport(
         "orbits",
@@ -361,39 +444,15 @@ def double_coset_check(q, rho):
         "finite-field analogue over F_q of the double-coset statement, "
         "not a proof of the number-field case",
     )
-
-    full = group_generators(q, "full")
-    parabolic = group_generators(q, "parabolic")
     report.check(
         "generators-preserve-J-T-v0",
-        generator_invariants_hold(full, q),
-        f"{len(full)} generators fix v0 and preserve both forms",
+        setup.invariants_hold,
+        f"{setup.full_count} generators fix v0 and preserve both forms",
     )
 
-    # Every BFS runs on the two-element sets of bfs_generators, which are
-    # products of elements of the lists checked here and below: x_a(1),
-    # x_a(1) x_l(1) and x_g(1) x_b(1).  (Each pair commutes, since alpha1
-    # - alpha2 is not a root, so the products are exp(E_a + E_l) and
-    # exp(E_g + E_b); soundness needs only that they are products.)  So
-    # they generate subgroups H <= G2(F_q) and H_P <= P(F_q).  The H-orbit
-    # lies in the G-orbit, which lies in the norm sphere;
-    # orbit-equals-sphere then forces all three to be equal.  Each
-    # H_P-orbit equals its part of the partition, and the predicate is
-    # P-stable (checked on all of P's generators), so the P-orbit equals
-    # the part too.  A set that generates too little can thus make a
-    # check FAIL, never PASS falsely.
-    #
-    # The BFS runs over the keys of V0 = v0^perp = {v3 = v4}: a generator
-    # that fixes v0 and preserves J preserves v0^perp, and v_rho lies in
-    # it.  Each BFS generator is also tested on V0 directly; one that
-    # leaves V0 is left out of every BFS and makes
-    # orbit-inside-norm-sphere FAIL.
-    sets = [bfs_generators(q, which) for which in ("full", "parabolic")]
-    gens, parabolic_gens = ([g for g in s if _on_v0(g, q)[1]] for s in sets)
-    leaving = sum(map(len, sets)) - len(gens) - len(parabolic_gens)
-
+    gens, leaving = setup.gens, setup.leaving
     v_rho = np.array([0, 0, 1, 0, 0, rho % q, 0, 0], dtype=np.int64)
-    orb = orbit(v_rho, gens, q)
+    orb = orbit(v_rho, gens, q, steps=setup.steps)
     size = len(orb)
 
     two_rho = 2 * rho % q
@@ -430,20 +489,16 @@ def double_coset_check(q, rho):
         f"v3 = 0 part: {part0}; v3 != 0 part: {part1}",
     )
 
-    # P is block upper triangular (PARABOLIC_BLOCKS), so rows 7, 8 of each
-    # parabolic generator only see columns 7, 8 and the predicate is P-stable
-    below = np.subtract.outer(PARABOLIC_BLOCKS, PARABOLIC_BLOCKS) > 0
-    stable = not np.stack(parabolic)[:, below].any()
     report.check(
         "v3-predicate-is-P-stable",
-        stable,
+        setup.p_stable,
         "parabolic generators have zero lower-left block",
     )
 
     def parabolic_orbit_is_part(start, zero_part):
         """(size, equality with its part) of the H_P-orbit of start.  Its
         map is dropped on return, so at most two maps are ever live."""
-        sub = orbit(start, parabolic_gens, q)
+        sub = orbit(start, setup.parabolic_gens, q, steps=setup.parabolic_steps)
         sub_cols = sub.seen.reshape(-1, q * q)
         outside = slice(1, None) if zero_part else 0
         if sub_cols[:, outside].any():
@@ -469,7 +524,7 @@ def double_coset_check(q, rho):
         else f"P-orbit sizes {size0}, {size1} vs parts {part0}, {part1}",
     )
 
-    reversed_orb = orbit(v_rho, gens[::-1], q)
+    reversed_orb = orbit(v_rho, gens[::-1], q, steps=setup.steps[::-1])
     report.check(
         "orbit-is-order-independent",
         _same_map(reversed_orb.seen, orb.seen),
@@ -489,9 +544,11 @@ def companion_rho(q, rho):
 
 def verify_orbits(q, rho):
     """Run the double-coset analogue for the requested rho and for a
-    companion of the opposite quadratic class."""
-    first = double_coset_check(q, rho)
-    other = double_coset_check(q, companion_rho(q, rho))
+    companion of the opposite quadratic class, on one FieldSetup."""
+    _validate(q, rho)
+    setup = FieldSetup(q)
+    first = double_coset_check(q, rho, setup=setup)
+    other = double_coset_check(q, companion_rho(q, rho), setup=setup)
     labeled = [
         (f"rho={r.parameters['rho']}-{r.parameters['rho_class']}", r)
         for r in (first, other)

@@ -177,6 +177,25 @@ def test_orbits_subcommand(capsys):
     assert checks[key]["status"] == "pass"
 
 
+@pytest.mark.parametrize(
+    "rho, digest",
+    [
+        (2, "6177ee2336dc81c4b309e9523dc66ecfe523a7372f49521bfe16eb4712b9b016"),
+        (3, "d5f37a908f5d53d1efa5013e72a97086ffff5a2d3928d50865c3bf0e45966162"),
+    ],
+)
+def test_orbits_q7_document(capsys, rho, digest):
+    # the q = 7 report of both classes, byte for byte: the sha256 values
+    # were recorded from the code that built its generators and step
+    # tables afresh for each class and each BFS
+    assert main(
+        ["verify", "orbits", "--q", "7", "--rho", str(rho), "--format", "json",
+         "--no-timestamp"]
+    ) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_iwasawa_emits_derived_factors(capsys):
     assert main(
         ["verify", "iwasawa", "--format", "json", "--no-timestamp"]

@@ -1,6 +1,8 @@
 """Finite-field orbit tests: generator integrity, BFS closure, and the
 two-parabolic-orbit partition."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from g2adjoint.algebra import LaurentPoly
 from g2adjoint.g2model import ROOT_EXP, ROOT_PARAMS, one_param, root_exp
 from g2adjoint.orbits import (
     _V0,
+    FieldSetup,
     _key_norms,
     _steps,
     bfs_generators,
@@ -153,6 +156,14 @@ def test_tables_over_cap_are_refused_before_any_is_built(monkeypatch):
         orbit(_v_rho(2, 5), gens, 5)
 
 
+def test_prebuilt_tables_must_match_their_generators():
+    setup = FieldSetup(5)
+    with pytest.raises(ValueError, match="2 step tables for 1 generators"):
+        orbit(_v_rho(2, 5), setup.gens[:1], 5, steps=setup.steps)
+    with pytest.raises(ValueError, match="q = 5 for q = 7"):
+        double_coset_check(7, 2, setup=setup)
+
+
 def test_sphere_count_matches_closed_form():
     for q in (5, 7, 11):
         for rho in range(1, q):
@@ -253,13 +264,19 @@ def test_double_coset_check_passes_for_every_rho(q):
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
 @given(st.sampled_from([5, 7, 17]), st.data())
 def test_key_norms_match_decoded_vectors(q, data):
-    keys = np.array(
-        data.draw(st.lists(st.integers(0, q ** 7 - 1), min_size=1, max_size=50)),
-        dtype=np.int64,
-    )
+    # keys 0 and q^7 - 1 always: at q = 17 the last is the largest key
+    # ORBIT_CAP admits, and it must survive the int32 digit split
+    drawn = data.draw(st.lists(st.integers(0, q ** 7 - 1), max_size=50))
+    keys = np.array([0, q ** 7 - 1] + drawn, dtype=np.int64)
     vectors = _vectors(keys, q)
     expected = (vectors * vectors[:, ::-1]).sum(axis=1) % q
     assert np.array_equal(_key_norms(keys, q), expected)
+
+
+def test_key_norms_refuse_keys_over_int32():
+    # 23^7 - 1 > 2^31 - 1: the int32 digit split would wrap
+    with pytest.raises(ValueError, match="int32"):
+        _key_norms(np.array([0, 1], dtype=np.int64), 23)
 
 
 @pytest.mark.parametrize("which", ["full", "parabolic"])
@@ -330,6 +347,8 @@ def test_map_over_cap_is_refused_before_any_bfs(monkeypatch):
     monkeypatch.setattr(orbits, "orbit", None)
     with pytest.raises(ValueError, match="cap of"):
         double_coset_check(23, 2)
+    with pytest.raises(ValueError, match="cap of"):
+        verify_orbits(23, 2)
     monkeypatch.setattr(orbits, "ORBIT_CAP", 78124)
     with pytest.raises(ValueError, match="cap of 78124"):
         double_coset_check(5, 2)
@@ -381,8 +400,8 @@ def test_g2_orbit_off_the_sphere_fails_the_report(monkeypatch):
     real = orbits.orbit
     x_al = bfs_generators(5, "full")[0]
 
-    def orbit_off_sphere(start, gens, p):
-        out = real(start, gens, p)
+    def orbit_off_sphere(start, gens, p, steps=None):
+        out = real(start, gens, p, steps)
         if _contains(gens, x_al) and not out.seen[0]:
             out.seen[0] = True
             out.size += 1
@@ -412,3 +431,69 @@ def test_wrong_parabolic_orbits_fail_the_partition_check(monkeypatch, wrong):
     report = double_coset_check(5, 2)
     failed = [c.name for c in report.checks if c.status == "fail"]
     assert failed == ["exactly-two-parabolic-orbits"]
+
+
+def test_verify_orbits_keeps_no_state_between_calls(monkeypatch):
+    from g2adjoint import orbits
+
+    # a run without patches first: a set-up kept from it would hide both
+    # mutations below, and each class must FAIL under each
+    assert verify_orbits(5, 2).passed
+    classes = ("rho=2-non-square", "rho=4-square")
+
+    def failed_checks(report):
+        return {c.name for c in report.checks if c.status == "fail"}
+
+    real_gens = orbits.bfs_generators
+    monkeypatch.setattr(
+        orbits, "bfs_generators", lambda q, which: real_gens(q, which)[:1]
+    )
+    failed = failed_checks(verify_orbits(5, 2))
+    for label in classes:
+        assert {
+            f"{label}/orbit-equals-sphere",
+            f"{label}/exactly-two-parabolic-orbits",
+        } <= failed
+
+    monkeypatch.undo()
+    real_orbit = orbits.orbit
+    x_al = bfs_generators(5, "full")[0]
+
+    def orbit_off_sphere(start, gens, p, steps=None):
+        out = real_orbit(start, gens, p, steps)
+        if _contains(gens, x_al) and not out.seen[0]:
+            out.seen[0] = True
+            out.size += 1
+        return out
+
+    monkeypatch.setattr(orbits, "orbit", orbit_off_sphere)
+    failed = failed_checks(verify_orbits(5, 2))
+    for label in classes:
+        assert f"{label}/orbit-inside-norm-sphere" in failed
+
+
+def test_verify_orbits_builds_the_field_set_up_once(monkeypatch):
+    from g2adjoint import orbits
+
+    # both classes share one set-up: each generator list and its verdict
+    # once, one pair of step tables per distinct BFS generator, and the
+    # 8 BFS runs of two classes, each through orbits.orbit
+    calls = Counter()
+
+    def count(name, key):
+        real = getattr(orbits, name)
+
+        def counted(*args, **kwargs):
+            calls[key(args)] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(orbits, name, counted)
+
+    count("group_generators", lambda args: args[1])
+    count("generator_invariants_hold", lambda args: "invariants")
+    count("_table", lambda args: "table")
+    count("orbit", lambda args: "orbit")
+    assert verify_orbits(5, 2).passed
+    assert calls["full"] == calls["parabolic"] == calls["invariants"] == 1
+    assert calls["table"] <= 8
+    assert calls["orbit"] == 8
