@@ -1,10 +1,14 @@
 """Finite-field evidence for the double-coset combinatorics.
 
-Enumerates the G2(F_q)-orbit of v_rho by breadth-first closure under a
-two-element generating set (x_{alpha1}(1) x_{-alpha2}(1) and
-x_{-alpha1}(1) x_{alpha2}(1), products of commuting root elements),
-checks it against the norm-2*rho sphere in V0 (counted independently),
-and splits it into parabolic orbits separated by the v3-block predicate.  This is a
+The G2(F_q)-orbit O of v_rho is derived, not enumerated.  Breadth-first
+closure under a two-element set (x_{alpha1}(1) and x_{-alpha1}(1)
+x_{alpha2}(1), a product of commuting root elements) enumerates orbits
+of the subgroup H_P of the parabolic P(F_q) it generates: that of v_rho
+and that of x_j(1) v_rho.  Both lie in O, and O lies in the norm-2*rho
+sphere S in V0, whose size is counted independently.  So when each
+H_P-orbit lies on S and on its own side of the v3-block predicate, and
+their sizes sum to |S|, they are the two parts of S and O = S: the
+statement splits O into exactly two parabolic orbits.  This is a
 desk-scale analogue over F_q of the corresponding statement over a number
 field, and the report labels it as such.
 
@@ -15,17 +19,19 @@ holds int64 keys only: the image of a key under a generator is the sum
 of two integer table lookups, one indexed by a leading run of its digits
 and one by a trailing run, with no float arithmetic and nothing decoded.
 It marks its orbit in an occupancy map of p^7 bytes, one per key, so the
-closure is a set (hence order-independent), and the partition and every
-comparison of the check are read off maps without decoding the orbit;
-norms are read off the digits of its keys, split by an int32 divide
-chain.
+closure is a set (hence order-independent).  Every check reads the keys
+of the maps, a chunk at a time: the side of the predicate is key % p^2,
+and norms are read off the digits, split by an int32 divide chain.
 
 What depends on q alone (the generator lists and their verdicts, the
-BFS generating sets and their step tables) is a FieldSetup, which
+H_P generating set and its step tables) is a FieldSetup, which
 verify_orbits builds once and hands to the check of both quadratic
-classes; nothing is cached between calls.  ORBIT_CAP bounds the bytes
-of one map, and of all the step tables a FieldSetup holds at once; a q
-whose map is over it is refused before any BFS.
+classes; nothing is cached between calls.  Each class runs three BFS:
+one over the v3 != 0 part (q^4(q^2 - 1) keys) and two over the v3 = 0
+part (q^3(q +- 1) keys), the second in reversed generator order.
+ORBIT_CAP bounds the bytes of one map, and of all the step tables a
+FieldSetup holds at once; a q whose map is over it is refused before any
+BFS.
 
 The BFS makes no BLAS call.  The CLI loads numpy with one OpenBLAS thread;
 importing this module as a library leaves the host's BLAS settings alone.
@@ -49,8 +55,8 @@ from .g2model import (
 from .report import VerificationReport, merge_reports
 
 # bytes of one occupancy map, and of all the step tables of a FieldSetup:
-# q = 17 (a 391 MB map, 34 MB of tables) runs, q = 19 (an 852 MB map)
-# does not
+# q = 17 (a 391 MB map, 23 MB of tables) runs, q = 19 (an 852 MB map)
+# does not.  A check holds at most two maps at once
 ORBIT_CAP = 2 ** 29
 # vectors per BFS block, and keys per chunk where a map is read or compared
 _BLOCK = 1 << 14
@@ -129,27 +135,20 @@ def group_generators(q, which="full"):
     return gens
 
 
-def bfs_generators(q, which="full"):
-    """The two-element generating sets every BFS uses; each matrix is a
-    product mod q of elements of group_generators(q, which).
+def bfs_generators(q):
+    """The two-element set every BFS uses, generating a subgroup H_P of
+    P(F_q): x_a(1) = x_{alpha1}(1) and x_g(1) x_b(1), with no torus
+    element; each matrix is a product mod q of elements of
+    group_generators(q, "parabolic").
 
-    alpha1 - alpha2 is not a root, so x_{alpha1} = x_a commutes with
-    x_{-alpha2} = x_l and x_{-alpha1} = x_g with x_{alpha2} = x_b
-    (Steinberg, Lectures on Chevalley Groups, §3), and each pair of the
-    generators x_{+-alpha1}(1), x_{+-alpha2}(1) of G2(F_q) collapses
-    into one element.  full: x_a(1) x_l(1) = exp(E_a + E_l) and
-    x_g(1) x_b(1) = exp(E_g + E_b).  parabolic: x_a(1) and x_g(1) x_b(1),
-    both in P(F_q), with no torus element.  That they generate enough is
+    alpha1 - alpha2 is not a root, so x_{-alpha1} = x_g commutes with
+    x_{alpha2} = x_b (Steinberg, Lectures on Chevalley Groups, §3) and
+    their product is exp(E_g + E_b).  That H_P generates enough is
     measured by double_coset_check, not proved: a set that generates too
     little makes it FAIL, never PASS.
     """
     a, g, b = (one_param_mod(param, 1, q) for param in ("a", "g", "b"))
-    g_b = g @ b % q
-    if which == "full":
-        return [a @ one_param_mod("l", 1, q) % q, g_b]
-    if which == "parabolic":
-        return [a, g_b]
-    raise ValueError(f"unknown generator set {which!r}")
+    return [a, g @ b % q]
 
 
 def _trilinear_dense():
@@ -378,27 +377,27 @@ def is_square_mod(rho, q):
 
 class FieldSetup:
     """What double_coset_check needs of F_q alone, for both quadratic
-    classes: the verdicts on the generator lists, the BFS generating sets
-    and the step tables of their generators.
+    classes: the verdicts on the generator lists, the H_P generating set
+    and the step tables of its generators.
 
-    Every BFS runs on the two-element sets of bfs_generators, which are
-    products of elements of the lists checked here: x_a(1), x_a(1) x_l(1)
-    and x_g(1) x_b(1).  (Each pair commutes, since alpha1 - alpha2 is not
-    a root, so the products are exp(E_a + E_l) and exp(E_g + E_b);
-    soundness needs only that they are products.)  So they generate
-    subgroups H <= G2(F_q) and H_P <= P(F_q).  The H-orbit lies in the
-    G-orbit, which lies in the norm sphere; orbit-equals-sphere then
-    forces all three to be equal.  Each H_P-orbit equals its part of the
-    partition, and the predicate is P-stable (checked on all of P's
-    generators), so the P-orbit equals the part too.  A set that
-    generates too little can thus make a check FAIL, never PASS falsely.
+    Every BFS runs on the two-element set of bfs_generators, products of
+    elements of the lists checked here, so it generates a subgroup H_P of
+    P(F_q) <= G2(F_q).  The check starts one BFS at v_rho and one at
+    x_j(1) v_rho, and x_j(1) is a checked generator, so both H_P-orbits lie
+    in O = G2(F_q) v_rho.  Every checked generator fixes v0 and preserves
+    J, so O lies in the norm-2*rho sphere S of V0.  The predicate (the key
+    is 0 mod q^2) splits S into two parts.  If each H_P-orbit lies on S
+    and on its own side, and their sizes sum to |S|, then each is its whole
+    part and O = S; the predicate is P-stable (checked on all of P's
+    generators), so each P-orbit equals its part too.  Every verdict
+    derived this way requires all three tests, so a set that generates
+    too little can make a check FAIL, never PASS falsely.
 
     The BFS runs over the keys of V0 = v0^perp = {v3 = v4}: a generator
     that fixes v0 and preserves J preserves v0^perp, and v_rho lies in
     it.  Each BFS generator is also tested on V0 directly; one that
     leaves V0 is left out of every BFS and makes orbit-inside-norm-sphere
-    FAIL.  A generator in both sets (x_g(1) x_b(1)) has one pair of step
-    tables, and ORBIT_CAP bounds all the tables together.
+    FAIL.  ORBIT_CAP bounds the step tables together.
     """
 
     def __init__(self, q):
@@ -413,22 +412,18 @@ class FieldSetup:
         parabolic = np.stack(group_generators(q, "parabolic"))
         self.p_stable = not parabolic[:, below].any()
 
-        sets = [bfs_generators(q, which) for which in ("full", "parabolic")]
-        self.gens, self.parabolic_gens = (
-            [g for g in s if _on_v0(g, q)[1]] for s in sets
-        )
-        self.leaving = sum(map(len, sets)) - len(self.gens) - len(self.parabolic_gens)
-        distinct = {g.tobytes(): g for g in self.gens + self.parabolic_gens}
-        tables = dict(zip(distinct, _steps(list(distinct.values()), q)))
-        self.steps = [tables[g.tobytes()] for g in self.gens]
-        self.parabolic_steps = [tables[g.tobytes()] for g in self.parabolic_gens]
+        bfs = bfs_generators(q)
+        self.parabolic_gens = [g for g in bfs if _on_v0(g, q)[1]]
+        self.leaving = len(bfs) - len(self.parabolic_gens)
+        self.parabolic_steps = _steps(self.parabolic_gens, q)
 
 
 def double_coset_check(q, rho, setup=None):
     """Desk-scale analogue of the two-element double-coset statement:
     the G2(F_q)-orbit of v_rho meets exactly two P(F_q)-orbits, separated
-    by vanishing of the last two coordinates.  `setup` is a FieldSetup of
-    the same q, built here if not given."""
+    by vanishing of the last two coordinates.  The G2-orbit is derived
+    from the two H_P-orbits (see FieldSetup), not enumerated.  `setup` is
+    a FieldSetup of the same q, built here if not given."""
     _validate(q, rho)
     if setup is None:
         setup = FieldSetup(q)
@@ -450,84 +445,81 @@ def double_coset_check(q, rho, setup=None):
         f"{setup.full_count} generators fix v0 and preserve both forms",
     )
 
-    gens, leaving = setup.gens, setup.leaving
-    v_rho = np.array([0, 0, 1, 0, 0, rho % q, 0, 0], dtype=np.int64)
-    orb = orbit(v_rho, gens, q, steps=setup.steps)
-    size = len(orb)
-
+    gens, steps, leaving = setup.parabolic_gens, setup.parabolic_steps, setup.leaving
     two_rho = 2 * rho % q
-    on_sphere = all(
-        (_key_norms(np.flatnonzero(orb.seen[lo:lo + _CHUNK]) + lo, q) == two_rho).all()
-        for lo in range(0, len(orb.seen), _CHUNK)
+
+    def survey(orb, zero_part):
+        """(size, whether every key is on the zero_part side of the
+        predicate, whether every key has norm 2*rho) of an H_P map."""
+        on_side = on_sphere = True
+        for lo in range(0, len(orb.seen), _CHUNK):
+            keys = np.flatnonzero(orb.seen[lo:lo + _CHUNK]) + lo
+            on_side &= bool(np.all((keys % (q * q) == 0) == zero_part))
+            on_sphere &= bool(np.all(_key_norms(keys, q) == two_rho))
+        return len(orb), on_side, on_sphere
+
+    # each map is surveyed and dropped before the next BFS but one: the
+    # part-0 map stays for the comparison with its reversed-order BFS
+    v_rho = np.array([0, 0, 1, 0, 0, rho % q, 0, 0], dtype=np.int64)
+    orb0 = orbit(v_rho, gens, q, steps=steps)
+    size0, side0, norm0 = survey(orb0, True)
+    order_independent = _same_map(
+        orbit(v_rho, gens[::-1], q, steps=steps[::-1]).seen, orb0.seen
+    )
+    del orb0
+    # part 1 starts at x_j(1) v_rho = (0, 0, 1, 0, 0, rho, 0, -1), a point
+    # of O with v7 != 0
+    w1 = one_param_mod("j", 1, q) @ v_rho % q
+    size1, side1, norm1 = survey(orbit(w1, gens, q, steps=steps), False)
+
+    size = size0 + size1
+    sphere = sphere_count(q, rho % q)
+    covered = bool(
+        setup.invariants_hold
+        and side0 and side1 and norm0 and norm1 and size == sphere
+    )
+    why = None if covered else (
+        f"H_P-orbit sizes {size0} + {size1} vs sphere {sphere}; "
+        f"each on its side: {side0 and side1}; "
+        f"on the sphere: {norm0 and norm1}"
     )
     report.check(
         "orbit-inside-norm-sphere",
-        bool(on_sphere and not leaving),
+        covered and not leaving,
         "every orbit element lies in V0 and has norm 2*rho",
-        counterexample=f"{leaving} BFS generators leave V0" if leaving else None,
+        counterexample=f"{leaving} BFS generators leave V0" if leaving else why,
     )
-
-    sphere = sphere_count(q, rho % q)
     report.check(
         "orbit-equals-sphere",
-        size == sphere,
+        covered,
         f"orbit size {size} equals the directly counted sphere size {sphere}",
+        counterexample=why,
     )
     expected = q ** 3 * (q ** 3 + (1 if square else -1))
     report.check(
         "orbit-size-closed-form",
-        size == expected,
+        covered and size == expected,
         f"size {size} = q^3(q^3{'+' if square else '-'}1) = {expected}",
+        counterexample=why,
     )
-
-    # key % q^2 is the digits (v6, v7), so column 0 is the v3 = 0 part
-    cols = orb.seen.reshape(-1, q * q)
-    part0 = int(np.count_nonzero(cols[:, 0]))
-    part1 = size - part0
     report.info(
         "partition-sizes",
-        f"v3 = 0 part: {part0}; v3 != 0 part: {part1}",
+        f"v3 = 0 part: {size0}; v3 != 0 part: {size1}",
     )
-
     report.check(
         "v3-predicate-is-P-stable",
         setup.p_stable,
         "parabolic generators have zero lower-left block",
     )
-
-    def parabolic_orbit_is_part(start, zero_part):
-        """(size, equality with its part) of the H_P-orbit of start.  Its
-        map is dropped on return, so at most two maps are ever live."""
-        sub = orbit(start, setup.parabolic_gens, q, steps=setup.parabolic_steps)
-        sub_cols = sub.seen.reshape(-1, q * q)
-        outside = slice(1, None) if zero_part else 0
-        if sub_cols[:, outside].any():
-            return len(sub), False
-        # with the other part filled in from the G-map, the maps agree
-        # exactly when the H_P-orbit equals its part
-        sub_cols[:, outside] = cols[:, outside]
-        return len(sub), _same_map(sub.seen, orb.seen)
-
-    size0, equal0 = parabolic_orbit_is_part(v_rho, True)
-    # part1 starts at x_j(1) v_rho = (0, 0, 1, 0, 0, rho, 0, -1), a point
-    # of the sphere with v7 != 0; if the G2 BFS missed it, the map
-    # comparison FAILs
-    w1 = one_param_mod("j", 1, q) @ v_rho % q
-    size1, equal1 = parabolic_orbit_is_part(w1, False)
-    two_orbits = equal0 and equal1
     report.check(
         "exactly-two-parabolic-orbits",
-        bool(two_orbits),
+        covered,
         "each part of the v3 partition is a single P(F_q)-orbit",
-        counterexample=None
-        if two_orbits
-        else f"P-orbit sizes {size0}, {size1} vs parts {part0}, {part1}",
+        counterexample=why,
     )
-
-    reversed_orb = orbit(v_rho, gens[::-1], q, steps=setup.steps[::-1])
     report.check(
         "orbit-is-order-independent",
-        _same_map(reversed_orb.seen, orb.seen),
+        order_independent,
         "reversed generator discipline yields the identical set",
     )
     return report

@@ -78,7 +78,7 @@ def test_generator_setup_makes_no_kernel_call(monkeypatch):
         assert root_exp(param) == ROOT_EXP[param]
     for which in ("full", "parabolic"):
         assert group_generators(5, which)
-        assert bfs_generators(5, which)
+    assert bfs_generators(5)
 
 
 def test_generator_counts():
@@ -131,7 +131,7 @@ def test_a_non_injective_generator_does_not_inflate_the_size():
     g = np.eye(8, dtype=np.int64)
     g[7, 7] = 0
     g[0, 7] = 1
-    out = orbit(_v_rho(2, 5), bfs_generators(5, "full") + [g], 5)
+    out = orbit(_v_rho(2, 5), _g2_bfs_generators(5) + [g], 5)
     assert len(out) == np.count_nonzero(out.seen) == 5 ** 7
 
 
@@ -159,7 +159,7 @@ def test_tables_over_cap_are_refused_before_any_is_built(monkeypatch):
 def test_prebuilt_tables_must_match_their_generators():
     setup = FieldSetup(5)
     with pytest.raises(ValueError, match="2 step tables for 1 generators"):
-        orbit(_v_rho(2, 5), setup.gens[:1], 5, steps=setup.steps)
+        orbit(_v_rho(2, 5), setup.parabolic_gens[:1], 5, steps=setup.parabolic_steps)
     with pytest.raises(ValueError, match="q = 5 for q = 7"):
         double_coset_check(7, 2, setup=setup)
 
@@ -233,14 +233,30 @@ def _v_rho(rho, q):
     return np.array([0, 0, 1, 0, 0, rho % q, 0, 0], dtype=np.int64)
 
 
-# the factors of each BFS generator, as root parameters at t = 1
+def _key(v, q):
+    """The key of a V0 vector."""
+    return int(np.asarray(v)[_V0] @ q ** np.arange(6, -1, -1))
+
+
+def _g2_bfs_generators(q):
+    """x_a(1) x_l(1) = exp(E_a + E_l) and x_g(1) x_b(1) = exp(E_g + E_b)
+    (alpha1 - alpha2 is not a root, so each pair commutes): a two-element
+    set for a BFS of the G2-orbit, which the check derives instead and
+    the tests keep as an oracle."""
+    a, l, g, b = (one_param_mod(param, 1, q) for param in "algb")
+    return [a @ l % q, g @ b % q]
+
+
+# the two-element BFS sets, and the factors of each of their generators
+# as root parameters at t = 1
+BFS_SETS = {"full": _g2_bfs_generators, "parabolic": bfs_generators}
 BFS_FACTORS = {"full": [("a", "l"), ("g", "b")], "parabolic": [("a",), ("g", "b")]}
 
 
 @pytest.mark.parametrize("which", ["full", "parabolic"])
 def test_bfs_generators_are_drawn_from_group_generators(which):
     for q in (5, 7):
-        small = bfs_generators(q, which)
+        small = BFS_SETS[which](q)
         listed = group_generators(q, which)
         assert len(small) == 2
         for g, params in zip(small, BFS_FACTORS[which]):
@@ -288,7 +304,7 @@ def test_key_norms_refuse_keys_over_int32():
 def test_step_tables_match_the_matrix_product(q, source, which, data):
     # the two-lookup image of a key against an independent route: decode
     # it, multiply by the 8x8 generator mod q, and key the product again
-    gens = (bfs_generators if source == "bfs" else group_generators)(q, which)
+    gens = BFS_SETS[which](q) if source == "bfs" else group_generators(q, which)
     keys = np.array(
         data.draw(st.lists(st.integers(0, q ** 7 - 1), min_size=1, max_size=100)),
         dtype=np.int64,
@@ -311,13 +327,13 @@ def _part1_start(rho, q):
 def test_small_generating_sets_give_the_full_orbits(rho):
     q = 5
     v_rho = _v_rho(rho, q)
-    small = bfs_generators(q, "full")
+    small = _g2_bfs_generators(q)
     orb = orbit(v_rho, small, q)
     vectors = _vectors_of(orb, q)
     assert len(orb) == len(vectors)
     assert np.array_equal(vectors, _reference_orbit(v_rho, small, q))
     assert np.array_equal(orb.seen, orbit(v_rho, group_generators(q, "full"), q).seen)
-    small_parabolic = bfs_generators(q, "parabolic")
+    small_parabolic = bfs_generators(q)
     parabolic = group_generators(q, "parabolic")
     for start in (v_rho, _part1_start(rho, q)):
         got = orbit(start, small_parabolic, q)
@@ -328,7 +344,7 @@ def test_small_generating_sets_give_the_full_orbits(rho):
 
 @pytest.mark.parametrize("q", [5, 7])
 def test_parabolic_orbit_sizes_match_closed_forms(q):
-    gens = bfs_generators(q, "parabolic")
+    gens = bfs_generators(q)
     for rho in (1, companion_rho(q, 1)):
         v_rho = _v_rho(rho, q)
         sign = 1 if is_square_mod(rho, q) else -1
@@ -338,6 +354,20 @@ def test_parabolic_orbit_sizes_match_closed_forms(q):
         orbit1 = orbit(_part1_start(rho, q), gens, q)
         assert len(orbit1) == q ** 4 * (q ** 2 - 1), (q, rho)
         assert _vectors_of(orbit1, q)[:, 6:].any(axis=1).all()
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_the_two_parabolic_orbits_make_up_the_g2_orbit(q):
+    # the G2 BFS that the check derives instead of running, as an oracle:
+    # the two H_P maps are disjoint and their union is the G2 map
+    gens = bfs_generators(q)
+    for rho in (1, companion_rho(q, 1)):
+        v_rho = _v_rho(rho, q)
+        part0 = orbit(v_rho, gens, q).seen
+        part1 = orbit(_part1_start(rho, q), gens, q).seen
+        assert not (part0 & part1).any(), (q, rho)
+        g2 = orbit(v_rho, _g2_bfs_generators(q), q).seen
+        assert np.array_equal(part0 | part1, g2), (q, rho)
 
 
 def test_map_over_cap_is_refused_before_any_bfs(monkeypatch):
@@ -360,10 +390,10 @@ def test_map_over_cap_is_refused_before_any_bfs(monkeypatch):
 def test_too_small_generating_sets_fail_the_report(monkeypatch):
     from g2adjoint import orbits
 
-    # one element of each set generates only a cyclic group, too little:
+    # one element of the set generates only a cyclic group, too little:
     # the report must FAIL, neither crash nor PASS
     real = orbits.bfs_generators
-    monkeypatch.setattr(orbits, "bfs_generators", lambda q, which: real(q, which)[:1])
+    monkeypatch.setattr(orbits, "bfs_generators", lambda q: real(q)[:1])
     report = double_coset_check(5, 2)
     failed = {c.name for c in report.checks if c.status == "fail"}
     assert {"orbit-equals-sphere", "exactly-two-parabolic-orbits"} <= failed
@@ -382,35 +412,86 @@ def test_generator_leaving_v0_fails_the_report(monkeypatch):
     with pytest.raises(ValueError, match="V0"):
         orbit(np.array([0, 0, 0, 1, 0, 0, 0, 0]), [], 5)
     real = orbits.bfs_generators
-    monkeypatch.setattr(
-        orbits, "bfs_generators", lambda q, which: real(q, which) + [leave]
-    )
+    monkeypatch.setattr(orbits, "bfs_generators", lambda q: real(q) + [leave])
     report = double_coset_check(5, 2)
     assert not report.passed
     failed = [c for c in report.checks if c.status == "fail"]
     assert [c.name for c in failed] == ["orbit-inside-norm-sphere"]
-    assert failed[0].counterexample == "2 BFS generators leave V0"
+    assert failed[0].counterexample == "1 BFS generators leave V0"
+
+
+def _orbit_off_sphere(real):
+    """orbits.orbit with key 1 (v7 = 1, norm 0 != 2*rho) swapped into each
+    map of the v3 != 0 part for one of its keys: the size and the side of
+    the map stay, and only the key-space norm test can see it."""
+
+    def orbit_off_sphere(start, gens, p, steps=None):
+        out = real(start, gens, p, steps)
+        if start[7] % p:
+            out.seen[np.flatnonzero(out.seen)[-1]] = False
+            out.seen[1] = True
+        return out
+
+    return orbit_off_sphere
 
 
 def test_g2_orbit_off_the_sphere_fails_the_report(monkeypatch):
     from g2adjoint import orbits
 
-    # the G2 map gains key 0, the zero vector, of norm 0 != 2*rho: the
-    # key-space norm check must see it and FAIL
-    real = orbits.orbit
-    x_al = bfs_generators(5, "full")[0]
-
-    def orbit_off_sphere(start, gens, p, steps=None):
-        out = real(start, gens, p, steps)
-        if _contains(gens, x_al) and not out.seen[0]:
-            out.seen[0] = True
-            out.size += 1
-        return out
-
-    monkeypatch.setattr(orbits, "orbit", orbit_off_sphere)
+    # the G2-orbit is derived from the H_P maps, so a map off the sphere
+    # must FAIL it
+    monkeypatch.setattr(orbits, "orbit", _orbit_off_sphere(orbits.orbit))
     report = double_coset_check(5, 2)
     failed = {c.name for c in report.checks if c.status == "fail"}
     assert "orbit-inside-norm-sphere" in failed
+
+
+@pytest.mark.parametrize("swapped", [False, True], ids=["added", "swapped"])
+def test_a_part_1_key_in_the_part_0_map_fails_the_report(monkeypatch, swapped):
+    from g2adjoint import orbits
+
+    # the key of x_j(1) v_rho, a point of the sphere with v7 != 0, joins
+    # both maps of the v3 = 0 part (so they still agree).  Added, it
+    # breaks the size sum; swapped for a key of the part, only the side
+    # test can see it
+    real = orbits.orbit
+    crossing = _key(_part1_start(2, 5), 5)
+
+    def orbit_across(start, gens, p, steps=None):
+        out = real(start, gens, p, steps)
+        if not start[7] % p:
+            if swapped:
+                out.seen[np.flatnonzero(out.seen)[-1]] = False
+            out.seen[crossing] = True
+            out.size = int(np.count_nonzero(out.seen))
+        return out
+
+    monkeypatch.setattr(orbits, "orbit", orbit_across)
+    report = double_coset_check(5, 2)
+    failed = {c.name for c in report.checks if c.status == "fail"}
+    assert {"orbit-equals-sphere", "exactly-two-parabolic-orbits"} <= failed
+    assert "orbit-is-order-independent" not in failed
+
+
+def test_a_key_lost_in_reversed_order_fails_the_report(monkeypatch):
+    from g2adjoint import orbits
+
+    # the reversed-order BFS of the v3 = 0 part loses a key: the map
+    # comparison must FAIL order independence, and only it
+    real = orbits.orbit
+    first = bfs_generators(5)[0]
+
+    def orbit_losing(start, gens, p, steps=None):
+        out = real(start, gens, p, steps)
+        if not np.array_equal(gens[0], first):
+            out.seen[np.flatnonzero(out.seen)[-1]] = False
+            out.size -= 1
+        return out
+
+    monkeypatch.setattr(orbits, "orbit", orbit_losing)
+    report = double_coset_check(5, 2)
+    failed = [c.name for c in report.checks if c.status == "fail"]
+    assert failed == ["orbit-is-order-independent"]
 
 
 @pytest.mark.parametrize("wrong", ["too-small", "too-large"])
@@ -418,19 +499,15 @@ def test_wrong_parabolic_orbits_fail_the_partition_check(monkeypatch, wrong):
     from g2adjoint import orbits
 
     # x_a(1) alone reaches only part of each part; the G2 generators leave
-    # the v3 = 0 part.  Either way the map comparison must FAIL the
-    # partition check, and only it
+    # the v3 = 0 part.  Either way the H_P maps do not make up the two
+    # parts, and the partition check and the derived sphere must FAIL
     real = orbits.bfs_generators
-
-    def gens(q, which):
-        if which == "full":
-            return real(q, "full")
-        return real(q, "parabolic")[:1] if wrong == "too-small" else real(q, "full")
-
+    gens = (lambda q: real(q)[:1]) if wrong == "too-small" else _g2_bfs_generators
     monkeypatch.setattr(orbits, "bfs_generators", gens)
     report = double_coset_check(5, 2)
-    failed = [c.name for c in report.checks if c.status == "fail"]
-    assert failed == ["exactly-two-parabolic-orbits"]
+    failed = {c.name for c in report.checks if c.status == "fail"}
+    assert {"orbit-equals-sphere", "exactly-two-parabolic-orbits"} <= failed
+    assert not report.passed
 
 
 def test_verify_orbits_keeps_no_state_between_calls(monkeypatch):
@@ -445,9 +522,7 @@ def test_verify_orbits_keeps_no_state_between_calls(monkeypatch):
         return {c.name for c in report.checks if c.status == "fail"}
 
     real_gens = orbits.bfs_generators
-    monkeypatch.setattr(
-        orbits, "bfs_generators", lambda q, which: real_gens(q, which)[:1]
-    )
+    monkeypatch.setattr(orbits, "bfs_generators", lambda q: real_gens(q)[:1])
     failed = failed_checks(verify_orbits(5, 2))
     for label in classes:
         assert {
@@ -456,17 +531,7 @@ def test_verify_orbits_keeps_no_state_between_calls(monkeypatch):
         } <= failed
 
     monkeypatch.undo()
-    real_orbit = orbits.orbit
-    x_al = bfs_generators(5, "full")[0]
-
-    def orbit_off_sphere(start, gens, p, steps=None):
-        out = real_orbit(start, gens, p, steps)
-        if _contains(gens, x_al) and not out.seen[0]:
-            out.seen[0] = True
-            out.size += 1
-        return out
-
-    monkeypatch.setattr(orbits, "orbit", orbit_off_sphere)
+    monkeypatch.setattr(orbits, "orbit", _orbit_off_sphere(orbits.orbit))
     failed = failed_checks(verify_orbits(5, 2))
     for label in classes:
         assert f"{label}/orbit-inside-norm-sphere" in failed
@@ -476,8 +541,8 @@ def test_verify_orbits_builds_the_field_set_up_once(monkeypatch):
     from g2adjoint import orbits
 
     # both classes share one set-up: each generator list and its verdict
-    # once, one pair of step tables per distinct BFS generator, and the
-    # 8 BFS runs of two classes, each through orbits.orbit
+    # once, one pair of step tables per H_P generator, and the 6 BFS runs
+    # of two classes, each through orbits.orbit
     calls = Counter()
 
     def count(name, key):
@@ -495,5 +560,5 @@ def test_verify_orbits_builds_the_field_set_up_once(monkeypatch):
     count("orbit", lambda args: "orbit")
     assert verify_orbits(5, 2).passed
     assert calls["full"] == calls["parabolic"] == calls["invariants"] == 1
-    assert calls["table"] <= 8
-    assert calls["orbit"] == 8
+    assert calls["table"] <= 4
+    assert calls["orbit"] == 6
