@@ -34,7 +34,6 @@ from .reps import (
     conjugation_adjugate_matrix,
     fr_eigensplit,
     frobenius_matrix,
-    other_transpose,
     r_matrix,
     schur_char,
     schur_expand,
@@ -108,11 +107,6 @@ def inner_integral_closed(vc):
 def poincare_oracle(bound):
     """Brute-force symmetric-algebra decomposition against the six-factor
     closed form, coefficient-by-coefficient to X-degree `bound`."""
-    if bound > POINCARE_DEGREE_LIMIT:
-        raise ValueError(
-            f"degree {bound} exceeds the configured maximum "
-            f"{POINCARE_DEGREE_LIMIT}"
-        )
     report = VerificationReport("poincare", {"degree": bound})
     t1, t2, x = sym("T1"), sym("T2"), sym("X")
     base = schur_char(1, 1)  # the adjoint character
@@ -188,19 +182,16 @@ def _congruent_pairs(bound):
     return [(m1, m2) for m1 in r for m2 in r if (m1 - m2) % 3 == 0]
 
 
-def split_identity_lattice_sum(bound):
-    """Sum over m1, m2 >= 0 with 3 | (m1 - m2) of
-    X^max (1 + X + ... + X^min) T1^m1 T2^m2, truncated at X-degree bound."""
-    return lattice_sum(
+def split_identity_check(bound):
+    """The split-case lattice sum over m1, m2 >= 0 with 3 | (m1 - m2) of
+    X^max (1 + X + ... + X^min) T1^m1 T2^m2 equals the four-factor closed
+    form."""
+    report = VerificationReport("split-identity", {"degree": bound})
+    lattice = lattice_sum(
         "X", bound, _congruent_pairs(bound),
         lambda m1, m2: LaurentPoly.monomial(1, {"T1": m1, "T2": m2}),
     )
-
-
-def split_identity_check(bound):
-    """The split-case lattice sum equals the four-factor closed form."""
-    report = VerificationReport("split-identity", {"degree": bound})
-    lhs = TruncatedSeries(split_identity_lattice_sum(bound), "X", bound)
+    lhs = TruncatedSeries(lattice, "X", bound)
     rhs = series_expand(*_split_closed_form(), "X", bound)
     mismatch = _first_series_mismatch(lhs, rhs)
     report.check(
@@ -291,13 +282,12 @@ def unramified_rhs(satake, zeta_triple, bound):
     return series_expand(num, l_factor_denominator(satake), "x", bound)
 
 
-def _triple_name(triple):
-    def fmt(c1, c0):
-        if c0 == 0:
-            return f"{c1}s"
-        return f"{c1}s{c0:+d}"
+def _zeta_arg(c1, c0):
+    return f"{c1}s{c0:+d}" if c0 else f"{c1}s"
 
-    return "{" + ", ".join(fmt(*z) for z in triple) + "}"
+
+def _triple_name(triple):
+    return "{" + ", ".join(_zeta_arg(*z) for z in triple) + "}"
 
 
 def proposition_check(case, bound):
@@ -338,7 +328,7 @@ def proposition_check(case, bound):
     report.info(
         "winning-triple",
         f"{_triple_name(ZETA_TRIPLE_DERIVED)}; the displayed third factor "
-        f"{_triple_name(ZETA_TRIPLE_PRINTED)[1:-1].split(', ')[2]} is a typo",
+        f"{_zeta_arg(*ZETA_TRIPLE_PRINTED[2])} is a typo",
     )
     return report
 
@@ -358,7 +348,7 @@ def verify_lfactor(case="nonsplit"):
     g = RingMatrix([[sym(f"g{i}{j}") for j in range(1, 4)] for i in range(1, 4)])
     det_g = g.det()
     lhs = (fr * conjugation_adjugate_matrix(g) * fr).scale(det_g)
-    rhs = conjugation_adjugate_matrix(other_transpose(adjugate3(g)))
+    rhs = conjugation_adjugate_matrix(adjugate3(g).anti_transpose())
     report.check(
         "frobenius-conjugation-rule",
         lhs == rhs,

@@ -52,11 +52,10 @@ class SplitClass:
 
 @dataclass(frozen=True)
 class NonSplitClass:
-    """Parameter (diag(mu, 1, mu^-1), Fr); the middle sign is +1 after
-    adjusting by the center, and the class sits in the Frobenius coset."""
+    """Parameter (diag(mu, 1, mu^-1), Fr) in the Frobenius coset; the
+    middle sign is +1 after adjusting by the center."""
 
     mu: LaurentPoly
-    frobenius_coset: bool = True
 
     def __post_init__(self):
         if not self.mu.is_unit():
@@ -76,14 +75,12 @@ def _e(i, j):
     )
 
 
+# E12, E13, E21, E23, E31, E32: the root vectors, in basis order.
+_OFF_DIAGONAL = ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))
+
 # Ordered basis of traceless 3x3 matrices, shared by every 8x8 matrix here.
 ADJOINT_BASIS = (
-    _e(0, 1),              # E12
-    _e(0, 2),              # E13
-    _e(1, 0),              # E21
-    _e(1, 2),              # E23
-    _e(2, 0),              # E31
-    _e(2, 1),              # E32
+    *(_e(i, j) for i, j in _OFF_DIAGONAL),
     _e(0, 0) - _e(1, 1),   # H1
     _e(1, 1) - _e(2, 2),   # H2
 )
@@ -94,12 +91,7 @@ def adjoint_coordinates(m):
     trace = m[0, 0] + m[1, 1] + m[2, 2]
     if not is_zero(trace):
         raise ValueError("matrix is not traceless")
-    return [m[0, 1], m[0, 2], m[1, 0], m[1, 2], m[2, 0], m[2, 1], m[0, 0], -m[2, 2]]
-
-
-def other_transpose(m):
-    """The secondary transpose J m^t J (anti-diagonal reflection)."""
-    return m.anti_transpose()
+    return [m[ij] for ij in _OFF_DIAGONAL] + [m[0, 0], -m[2, 2]]
 
 
 def adjugate3(m):
@@ -135,7 +127,7 @@ def conjugation_adjugate_matrix(g):
 def frobenius_matrix(sign=1):
     """r(Fr): the involution X -> _tX on ADJOINT_BASIS (sign=-1 gives the
     twisted variant r'(Fr) = -r(Fr))."""
-    return _adjoint_action(lambda b: other_transpose(b).scale(sign))
+    return _adjoint_action(lambda b: b.anti_transpose().scale(sign))
 
 
 def r_matrix(satake, sign=1):
@@ -155,8 +147,7 @@ def adjoint_weights():
     a1, a2 = sym("alpha1"), sym("alpha2")
     a3 = (a1 * a2).unit_inverse()
     eig = (a1, a2, a3)
-    order = [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
-    weights = [eig[i] * eig[j].unit_inverse() for i, j in order]
+    weights = [eig[i] * eig[j].unit_inverse() for i, j in _OFF_DIAGONAL]
     return weights + [LaurentPoly.one(), LaurentPoly.one()]
 
 
@@ -256,64 +247,25 @@ def fr_eigensplit(mu=None):
     the Frobenius involution.
 
     Returns (plus, minus): lists of Laurent monomials in mu, sorted by
-    exponent, with dimensions (5, 3).
+    exponent, with dimensions (5, 3).  The torus is diagonal and commutes
+    with r(Fr), so r(Fr) is an involution on each torus eigenspace; there
+    a weight w of multiplicity d, where r(Fr) has trace t, occurs (d + t)/2
+    times in plus and (d - t)/2 times in minus.
     """
     mu = sym("mu") if mu is None else mu
     fr = frobenius_matrix()
     torus = r_matrix(SplitClass(mu, LaurentPoly.one()))
     if fr * fr != RingMatrix.identity(8):
         raise ArithmeticError("the Frobenius matrix is not an involution")
-    if torus * fr != fr * torus:
+    if not torus.is_diagonal() or torus * fr != fr * torus:
         raise ArithmeticError("the torus does not commute with Frobenius")
-    results = []
-    for sign in (1, -1):
-        projector = [
-            [
-                Fraction(fr[i, j], 2)
-                + (Fraction(sign, 2) if i == j else 0)
-                for j in range(8)
-            ]
-            for i in range(8)
-        ]
-        pivots = _pivot_columns(projector)
-        eigen = [torus[j, j] for j in pivots]
-        eigen = [e if isinstance(e, LaurentPoly) else LaurentPoly.constant(e)
-                 for e in eigen]
-        eigen.sort(key=lambda p: -_mu_exponent(p))
-        results.append(eigen)
-    return results[0], results[1]
-
-
-def _mu_exponent(p):
-    if p.is_constant():
-        return 0
-    (key,) = tuple(p.terms)
-    return key[0]
-
-
-def _pivot_columns(rows):
-    """Column indices of a basis of the column space (Fraction entries)."""
-    m = [list(r) for r in rows]
-    n_rows, n_cols = len(m), len(m[0])
-    pivots = []
-    r = 0
-    for c in range(n_cols):
-        pivot = None
-        for i in range(r, n_rows):
-            if m[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = Fraction(1, 1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(n_rows):
-            if i != r and m[i][c] != 0:
-                factor = m[i][c]
-                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    return pivots
+    dims, traces = {}, {}
+    for i in range(8):
+        w = torus[i, i]
+        dims[w] = dims.get(w, 0) + 1
+        traces[w] = traces.get(w, 0) + fr[i, i]
+    plus, minus = [], []
+    for w in sorted(dims, key=lambda w: -w.min_exponent("mu")):
+        plus += [w] * ((dims[w] + traces[w]) // 2)
+        minus += [w] * ((dims[w] - traces[w]) // 2)
+    return plus, minus

@@ -260,13 +260,18 @@ def test_verify_all_document(capsys):
         (2, 2, "7ac884ac4bfbb1cc8ed12d97055afb4403e2ad012e9f774c9fc4ec01f842314f"),
         (2, 3, "d803fa6b5709f34762cf5a78c80577d029db9ff768dbb96c4418fbcbe8abaecd"),
         (2, 4, "f7acc49d5c2cf79670f45ce5b4e7f533b50123e7025e608613bd7408f7187839"),
+        (12, 1, "744d5179870df0ad4491cfa03314b449dcfa0bdce55a464ae7f6510a7c741f09"),
+        (12, 3, "96e9616719902c9c13a0a6d13a5490af3fe1246ec856935c8d966a6b89a523fa"),
+        (12, 4, "745caf6c652a578a51d8c0608461655e0830793b4b39a85b801f7f44a12b7158"),
     ],
-    ids=["1", "3", "4", "tiny-1", "tiny-2", "tiny-3", "tiny-4"],
+    ids=["1", "3", "4", "tiny-1", "tiny-2", "tiny-3", "tiny-4",
+         "roadmap-1", "roadmap-3", "roadmap-4"],
 )
 def test_verify_all_digest_other_rhos(capsys, degree, rho, digest):
     # both quadratic classes at q = 5, byte for byte: the sha256 values are
-    # perfbench/gate.py's VERIFY_ALL_DIGESTS[("full", rho)] at degree 6 and
-    # [("tiny", rho)] at degree 2, where a drift in the lowest terms shows
+    # perfbench/gate.py's VERIFY_ALL_DIGESTS[("full", rho)] at degree 6,
+    # [("tiny", rho)] at degree 2, where a drift in the lowest terms shows,
+    # and [("roadmap", rho)] at the default degree 12
     assert main(
         ["verify", "all", "--degree", str(degree), "--rho", str(rho), "--format",
          "json", "--no-timestamp"]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from g2adjoint.algebra import LaurentPoly, TruncatedSeries, series_expand
+from g2adjoint.algebra import LaurentPoly, RingMatrix, TruncatedSeries, series_expand
 from g2adjoint.lfunc import (
     ZETA_TRIPLE_DERIVED,
     ZETA_TRIPLE_PRINTED,
@@ -111,9 +111,10 @@ def test_poincare_oracle_small_degree():
     assert report.passed, report.to_text()
 
 
-def test_poincare_oracle_rejects_large_degree():
-    with pytest.raises(ValueError):
-        poincare_oracle(11)
+def test_poincare_oracle_runs_past_the_report_cap():
+    # the oracle has no limit of its own; only verify_identities caps it
+    report = poincare_oracle(12)
+    assert report.passed, report.to_text()
 
 
 def test_split_identity_small_degree():
@@ -167,6 +168,22 @@ def test_verify_lfactor_both_cases():
     for case in ("split", "nonsplit"):
         report = verify_lfactor(case)
         assert report.passed, report.to_text()
+
+
+def test_identity_frobenius_fails_the_eigenspace_checks(monkeypatch):
+    # the identity is an involution commuting with every torus, so the
+    # trace count accepts it and must report the split (8, 0)
+    from g2adjoint import reps
+
+    monkeypatch.setattr(
+        reps, "frobenius_matrix", lambda sign=1: RingMatrix.identity(8)
+    )
+    report = verify_lfactor("nonsplit")
+    status = {c.name: c.status for c in report.checks}
+    assert status["frobenius-eigenspace-dimensions"] == "fail"
+    assert status["frobenius-eigenvalue-lists"] == "fail"
+    assert not report.passed
+    assert tuple(map(len, reps.fr_eigensplit())) == (8, 0)
 
 
 def test_verify_integral_quick():

@@ -19,7 +19,6 @@ from g2adjoint.reps import (
     conjugation_matrix,
     fr_eigensplit,
     frobenius_matrix,
-    other_transpose,
     r_matrix,
     schur_char,
     schur_expand,
@@ -285,7 +284,7 @@ def test_semidirect_product_law(g, h):
     # r((g, Fr)) r((h, Fr)) = r(g _th^-1) for the composite action
     fr = frobenius_matrix()
     lhs = (adjoint(g) * fr) * (adjoint(h) * fr)
-    rhs = adjoint(g * other_transpose(matrix_inverse(h)))
+    rhs = adjoint(g * matrix_inverse(h).anti_transpose())
     assert lhs == rhs
 
 
@@ -318,22 +317,26 @@ def test_fr_eigensplit_dimensions_and_values():
 
 
 @pytest.mark.parametrize(
-    "fake_frobenius",
+    "name, fake",
     [
-        RingMatrix.identity(8).scale(2),  # not an involution
+        # not an involution
+        ("frobenius_matrix", lambda sign=1: RingMatrix.identity(8).scale(2)),
         # swaps E12 and E13, whose torus weights differ
-        RingMatrix(
+        ("frobenius_matrix", lambda sign=1: RingMatrix(
             [[1 if {i, j} == {0, 1} or (i == j > 1) else 0 for j in range(8)]
              for i in range(8)]
-        ),
+        )),
+        # r(Fr) commutes with itself, but the trace count needs a diagonal
+        # torus
+        ("r_matrix", lambda satake, sign=1: frobenius_matrix()),
     ],
-    ids=["not-involution", "not-commuting"],
+    ids=["not-involution", "not-commuting", "not-diagonal"],
 )
-def test_fr_eigensplit_refuses_bad_frobenius(monkeypatch, fake_frobenius):
+def test_fr_eigensplit_refuses_bad_frobenius(monkeypatch, name, fake):
     # a raise, not an assert: `python -O` must not turn this into a split
     from g2adjoint import reps
 
-    monkeypatch.setattr(reps, "frobenius_matrix", lambda sign=1: fake_frobenius)
+    monkeypatch.setattr(reps, name, fake)
     with pytest.raises(ArithmeticError):
         fr_eigensplit()
 
@@ -380,7 +383,6 @@ def test_sym_cube_of_adjoint():
 def test_nonsplit_class_validation():
     with pytest.raises(ValueError):
         NonSplitClass(sym("mu") + 1)
-    assert NonSplitClass.symbolic().frobenius_coset
 
 
 def test_conjugation_matrix_against_permutation():
