@@ -53,14 +53,16 @@ class LaurentPoly:
 
     Terms are stored as a map from exponent vectors to nonzero canonical
     coefficients (int, or Fraction when not integral); the exponent vector
-    is aligned with `variables`, which is kept sorted and free of unused
-    names so equality is plain structural equality.
+    is aligned with `variables`, which is kept sorted and free of repeated
+    and unused names so equality is plain structural equality.
     """
 
     __slots__ = ("variables", "terms")
 
     def __init__(self, variables=(), terms=None):
         variables = tuple(variables)
+        if len(set(variables)) != len(variables):
+            raise ValueError(f"repeated variable name in {variables}")
         clean = {}
         for exps, coeff in ({} if terms is None else terms).items():
             coeff = _scalar(coeff)
@@ -126,9 +128,6 @@ class LaurentPoly:
 
     def is_zero(self):
         return not self.terms
-
-    def is_constant(self):
-        return not self.variables
 
     def is_unit(self):
         """A unit of the Laurent ring: exactly one term."""
@@ -324,15 +323,6 @@ class LaurentPoly:
             for key, c in expansion:
                 _accumulate(out, key, _canon(c))
         return LaurentPoly._from_normal(*_prune(names, out))
-
-    def scale_exponents(self, factor):
-        """The Adams-operation substitution v -> v^factor for every variable."""
-        if not isinstance(factor, int) or factor <= 0:
-            raise ValueError("exponent scale must be a positive integer")
-        return LaurentPoly._from_normal(
-            self.variables,
-            {tuple(factor * e for e in exps): c for exps, c in self.terms.items()},
-        )
 
     # -- display -----------------------------------------------------------
 

@@ -90,11 +90,12 @@ def _check_values(args):
     """Reject values no suite can run with, as usage errors (exit 2)."""
     if getattr(args, "degree", 1) < 1:
         args.usage_error("--degree must be at least 1")
-    # the report is written after every suite has run, so an unwritable
-    # path is refused first
+    # the report is written after every suite has run, so an empty or
+    # unwritable path is refused first
     if args.out is not None:
         parent = os.path.dirname(os.path.abspath(args.out))
-        if os.path.isdir(args.out) or not os.access(parent, os.W_OK):
+        if (not args.out or os.path.isdir(args.out)
+                or not os.access(parent, os.W_OK)):
             args.usage_error(f"--out {args.out}: cannot write a file there")
     if hasattr(args, "q"):
         try:

@@ -256,9 +256,10 @@ def unramified_lhs(satake, bound):
     q_inv = sym("q", -1)
     x = sym("x")
     if isinstance(satake, SplitClass):
+        values = {"alpha1": satake.alpha1, "alpha2": satake.alpha2}
         acc = lattice_sum(
             "x", bound, _congruent_pairs(bound),
-            lambda m1, m2: schur_char(m1, m2, satake.alpha1, satake.alpha2),
+            lambda m1, m2: schur_char(m1, m2).subs(values),
         )
     elif isinstance(satake, NonSplitClass):
         z = satake.mu * satake.mu

@@ -4,8 +4,8 @@ action on traceless 3x3 matrices.
 Satake classes, Schur characters from Gelfand-Tsetlin patterns, SL2-type
 characters, the matrix of the adjoint representation extended by the
 Frobenius involution X -> J X^t J, the Frobenius eigenspace split, and
-symmetric-power plethysm with its greedy decomposition into irreducible
-characters.
+symmetric powers as complete homogeneous polynomials of the weights, with
+their greedy decomposition into irreducible characters.
 
 Character polynomials live in the Laurent variables alpha1, alpha2 (with
 alpha3 = 1/(alpha1*alpha2) substituted) or mu.
@@ -14,11 +14,9 @@ alpha3 = 1/(alpha1*alpha2) substituted) or mu.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import (
     LaurentPoly,
-    NonInvertibleError,
     RingMatrix,
     is_zero,
     sym,
@@ -151,24 +149,17 @@ def adjoint_weights():
     return weights + [LaurentPoly.one(), LaurentPoly.one()]
 
 
-def schur_char(m1, m2, alpha1=None, alpha2=None):
+def schur_char(m1, m2):
     """Character of the GL3 irreducible with highest weight
     m1*w1 + m2*w2 at diag(alpha1, alpha2, (alpha1 alpha2)^-1).
 
     Counts the Gelfand-Tsetlin patterns with top row (m1+m2, m2, 0): the
     pattern with middle row (p, q) and bottom entry r has weight
-    x1^r x2^(p+q-r) x3^(m1+2*m2-p-q).  Explicit alpha1, alpha2 must be
-    Laurent units and are substituted into the symbolic character.
+    x1^r x2^(p+q-r) x3^(m1+2*m2-p-q).  Evaluate at a Satake class with
+    `.subs`.
     """
     if m1 < 0 or m2 < 0:
         raise ValueError("highest weight must be dominant")
-    explicit = alpha1 is not None or alpha2 is not None
-    a1 = sym("alpha1") if alpha1 is None else alpha1
-    a2 = sym("alpha2") if alpha2 is None else alpha2
-    if explicit and not (a1 * a2).is_unit():
-        raise NonInvertibleError(
-            f"alpha3 = (alpha1 alpha2)^-1 needs Laurent units: {a1}, {a2}"
-        )
     total = m1 + 2 * m2
     counts = {}
     for p in range(m2, m1 + m2 + 1):
@@ -177,10 +168,7 @@ def schur_char(m1, m2, alpha1=None, alpha2=None):
             for r in range(q, p + 1):
                 key = (r - w3, p + q - r - w3)
                 counts[key] = counts.get(key, 0) + 1
-    char = LaurentPoly(("alpha1", "alpha2"), counts)
-    if not explicit:
-        return char
-    return char.subs({"alpha1": a1, "alpha2": a2})
+    return LaurentPoly(("alpha1", "alpha2"), counts)
 
 
 def sl2_char(k, z):
@@ -194,26 +182,30 @@ def sl2_char(k, z):
 
 
 def sym_power_char(base_char, k):
-    """Character of Sym^k via the Newton recursion
-    k h_k = sum_j p_j h_{k-j}, with the Adams operation realized as
-    exponent scaling on the weight monomials."""
+    """Character of Sym^k: the complete homogeneous polynomial h_k of the
+    weights of `base_char`, with multiplicity, as the X^k coefficient of
+    prod_w 1/(1 - w X); nothing is divided."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    h = [LaurentPoly.one()]
-    for n in range(1, k + 1):
-        acc = LaurentPoly.zero()
-        for j in range(1, n + 1):
-            acc = acc + base_char.scale_exponents(j) * h[n - j]
-        h.append(Fraction(1, n) * acc)
+    h = [LaurentPoly.one()] + [LaurentPoly.zero()] * k
+    for exps, mult in base_char.terms.items():
+        if not isinstance(mult, int) or mult < 0:
+            raise ValueError(f"not a character: weight multiplicity {mult}")
+        w = LaurentPoly(base_char.variables, {exps: 1})
+        for _ in range(mult):
+            for n in range(1, k + 1):
+                h[n] = h[n] + w * h[n - 1]
     return h[k]
 
 
 def schur_expand(char):
     """Decompose a character into irreducible multiplicities by greedy
-    peel-off at the highest remaining dominant weight.
+    peel-off at the monomial alpha1^u alpha2^w of greatest height 3u + w.
 
-    Returns {(m1, m2): multiplicity}; raises if the input is not a
-    nonnegative integral combination of irreducible characters.
+    The height is positive on the positive roots, so for a genuine
+    character that monomial is a highest weight.  Returns {(m1, m2):
+    multiplicity}; raises if the input is not a nonnegative integral
+    combination of irreducible characters.
     """
     remaining = char
     out = {}
@@ -223,17 +215,11 @@ def schur_expand(char):
             e = dict(zip(remaining.variables, exps))
             u, w = e.get("alpha1", 0), e.get("alpha2", 0)
             weights.append((3 * u + w, u, w, coeff))
-        best = max(weights, key=lambda weight: weight[0])
-        # the maximal height is attained at a dominant monomial for any
-        # genuine character; prefer a dominant representative
-        dominant = next(
-            (x for x in weights if x[0] == best[0] and x[1] >= x[2] >= 0), None
-        )
-        if dominant is None:
+        _, u, w, coeff = top = max(weights)
+        if not u >= w >= 0:
             raise ValueError(
-                f"not a character: maximal monomial is not dominant ({best})"
+                f"not a character: maximal monomial is not dominant ({top})"
             )
-        _, u, w, coeff = dominant
         if coeff.denominator != 1 or coeff <= 0:
             raise ValueError(f"negative or fractional multiplicity {coeff}")
         m1, m2 = u - w, w

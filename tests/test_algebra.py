@@ -45,6 +45,14 @@ def test_unused_variables_are_pruned():
     assert p.variables == ("a",)
 
 
+def test_repeated_variable_names_are_refused():
+    # ("x", "x") would make x*x a second normal form of x**2
+    with pytest.raises(ValueError, match="repeated"):
+        LaurentPoly(("x", "x"), {(1, 1): 1})
+    with pytest.raises(ValueError, match="repeated"):
+        LaurentPoly(("b", "a", "b"), {})
+
+
 def test_products_drop_exactly_the_vanished_variables():
     # x^-1 * x must drop x; (x + 1)(x - 1), with no negative exponent,
     # keeps it; a zero factor leaves no variable
@@ -294,13 +302,6 @@ def test_substitution():
     with pytest.raises(NonInvertibleError, match=r"non-unit for b\^-1"):
         p.subs({"b": v("c") + 1})
     assert p.subs({"a": 2, "b": Fraction(1, 2)}) == 11
-
-
-def test_scale_exponents_is_adams_substitution():
-    p = v("a", 2) * v("b", -1) + v("a") + 1
-    assert p.scale_exponents(3) == p.subs(
-        {"a": LaurentPoly.monomial(1, {"a": 3}), "b": LaurentPoly.monomial(1, {"b": 3})}
-    )
 
 
 def test_geometric_sum_reflection_convention():

@@ -95,6 +95,7 @@ def test_unknown_flag_exits_2():
         ["verify", "orbits", "--q", "23"],
         ["verify", "all", "--q", "7", "--rho", "14"],
         ["verify", "lie", "--out", "/nonexistent/dir/x.json"],
+        ["verify", "lie", "--out", ""],
     ],
     ids=lambda argv: " ".join(argv[1:]),
 )

@@ -1,6 +1,7 @@
 """Representation-theory tests: Schur characters against the
 Gelfand-Tsetlin and bialternant oracles, the adjoint/Frobenius matrices,
-plethysm, and the greedy irreducible decomposition."""
+symmetric powers against Newton's identity, and the greedy irreducible
+decomposition."""
 
 from fractions import Fraction
 from itertools import permutations
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g2adjoint.algebra import LaurentPoly, NonInvertibleError, RingMatrix
+from g2adjoint.algebra import LaurentPoly, RingMatrix
 from g2adjoint.reps import (
     ADJOINT_BASIS,
     NonSplitClass,
@@ -152,30 +153,23 @@ def bialternant_character(m1, m2, alpha1=None, alpha2=None):
          "alpha1-only", "alpha2-only"],
 )
 def test_schur_matches_bialternant_oracle(alpha1, alpha2):
+    values = {
+        name: value
+        for name, value in (("alpha1", alpha1), ("alpha2", alpha2))
+        if value is not None
+    }
     for m1 in range(9):
         for m2 in range(9 - m1):
-            assert schur_char(m1, m2, alpha1, alpha2) == bialternant_character(
+            assert schur_char(m1, m2).subs(values) == bialternant_character(
                 m1, m2, alpha1, alpha2
             ), (m1, m2)
 
 
 @pytest.mark.parametrize("m1,m2", [(0, 0), (1, 0), (2, 3)])
 def test_schur_argument_contract(m1, m2):
-    # alpha3 = (alpha1 alpha2)^-1 needs Laurent units, even for the weight
-    # (0, 0), whose character never mentions them
-    for alpha1, alpha2 in [
-        (1 + sym("a"), sym("b")),
-        (sym("a"), sym("b") - sym("a")),
-        (LaurentPoly.zero(), sym("b")),
-    ]:
-        with pytest.raises(NonInvertibleError):
-            schur_char(m1, m2, alpha1, alpha2)
-    # a negative weight is refused first, whatever the arguments
     for bad in [(-1 - m1, m2), (m1, -1 - m2)]:
         with pytest.raises(ValueError):
             schur_char(*bad)
-        with pytest.raises(ValueError):
-            schur_char(*bad, 1 + sym("a"), sym("b"))
 
 
 @pytest.mark.parametrize("m1,m2", [(0, 0), (1, 1), (2, 0), (3, 1), (4, 4)])
@@ -341,6 +335,40 @@ def test_fr_eigensplit_refuses_bad_frobenius(monkeypatch, name, fake):
         fr_eigensplit()
 
 
+def newton_sym_power(base_char, k):
+    """Independent oracle: Newton's identity n h_n = sum_j p_j h_(n-j),
+    with the power sum p_j of the weights as the exponent scaling
+    v -> v^j (the Adams operation)."""
+    def adams(j):
+        return LaurentPoly(
+            base_char.variables,
+            {tuple(j * e for e in exps): c for exps, c in base_char.terms.items()},
+        )
+
+    h = [LaurentPoly.one()]
+    for n in range(1, k + 1):
+        acc = LaurentPoly.zero()
+        for j in range(1, n + 1):
+            acc = acc + adams(j) * h[n - j]
+        h.append(Fraction(1, n) * acc)
+    return h[k]
+
+
+@pytest.mark.parametrize("m1,m2", [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)])
+def test_sym_power_matches_newton_oracle(m1, m2):
+    base = schur_char(m1, m2)
+    for k in range(6):
+        assert sym_power_char(base, k) == newton_sym_power(base, k), k
+
+
+def test_sym_power_refuses_non_characters():
+    # Newton's identity divides, so it accepts both; a weight taken a
+    # negative or fractional number of times has no symmetric power
+    for bad in [-schur_char(1, 0), Fraction(1, 2) * schur_char(1, 0)]:
+        with pytest.raises(ValueError):
+            sym_power_char(bad, 2)
+
+
 def test_sym_power_basics():
     base = schur_char(1, 1)
     assert sym_power_char(base, 0) == 1
@@ -383,6 +411,12 @@ def test_sym_cube_of_adjoint():
 def test_nonsplit_class_validation():
     with pytest.raises(ValueError):
         NonSplitClass(sym("mu") + 1)
+
+
+def test_split_class_validation():
+    # the Satake class alone carries the unit contract of alpha1, alpha2
+    with pytest.raises(ValueError):
+        SplitClass(1 + sym("a"), sym("b"))
 
 
 def test_conjugation_matrix_against_permutation():
