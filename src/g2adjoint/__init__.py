@@ -5,7 +5,6 @@ for the double-coset combinatorics."""
 from .algebra import (
     LaurentPoly,
     NonInvertibleError,
-    Rational,
     RingMatrix,
     TruncatedSeries,
     series_expand,
@@ -14,7 +13,6 @@ from .algebra import (
 __all__ = [
     "LaurentPoly",
     "NonInvertibleError",
-    "Rational",
     "RingMatrix",
     "TruncatedSeries",
     "series_expand",

@@ -1,25 +1,19 @@
 """Exact arithmetic kernel.
 
-Multivariate Laurent polynomials over exact rationals, truncated formal
+Multivariate Laurent polynomials over the integers, truncated formal
 power series, and dense matrices over any exact commutative ring.  All
 values are immutable after construction and every operation is a pure
 function, so everything here is safe to share between threads.
 
-A coefficient is an `int` while it is integral and a `fractions.Fraction`
-(denominator > 1) otherwise; never a `bool` or a `float`.  Every operation
-keeps that canonical form, and inverses go through `Fraction`, so an int
-never meets `/`.
+Every coefficient is an `int`, never a `bool` or a `float`.  A unit of the
+Laurent ring over the integers is plus or minus a monomial, and nothing is
+ever divided.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import add as _add
 from operator import itemgetter
-
-# Exact rational scalars: always reduced, positive denominator, structural
-# equality.  The stdlib type satisfies the whole contract.
-Rational = Fraction
 
 
 class NonInvertibleError(ArithmeticError):
@@ -27,34 +21,19 @@ class NonInvertibleError(ArithmeticError):
 
 
 def _scalar(value):
-    """The canonical coefficient of an exact scalar (see the module doc)."""
-    if type(value) is int:
-        return value
-    if isinstance(value, Fraction):
-        return _canon(value)
+    """The int coefficient of an integer scalar (a bool becomes an int)."""
     if isinstance(value, int):
         return int(value)
-    raise TypeError(f"cannot coerce {value!r} to an exact rational")
-
-
-def _canon(value):
-    """An integral Fraction as its int; any other coefficient unchanged."""
-    if type(value) is Fraction and value.denominator == 1:
-        return value.numerator
-    return value
-
-
-def _holds_fraction(terms):
-    return Fraction in map(type, terms.values())
+    raise TypeError(f"cannot coerce {value!r} to an integer")
 
 
 class LaurentPoly:
     """Multivariate polynomial with integer (possibly negative) exponents.
 
-    Terms are stored as a map from exponent vectors to nonzero canonical
-    coefficients (int, or Fraction when not integral); the exponent vector
-    is aligned with `variables`, which is kept sorted and free of repeated
-    and unused names so equality is plain structural equality.
+    Terms are stored as a map from exponent vectors to nonzero int
+    coefficients; the exponent vector is aligned with `variables`, which
+    is kept sorted and free of repeated and unused names so equality is
+    plain structural equality.
     """
 
     __slots__ = ("variables", "terms")
@@ -85,10 +64,10 @@ class LaurentPoly:
         """Wrap an already normal `terms` map without re-normalizing it.
 
         The caller guarantees that `variables` is sorted, that every
-        exponent vector is aligned with it, that every coefficient is
-        nonzero and canonical (an int, or a Fraction with denominator > 1)
-        and that every variable is used by some term: a caller whose terms
-        can drop a variable (a cancelling sum, x * x^-1) prunes first.
+        exponent vector is aligned with it, that every coefficient is a
+        nonzero int and that every variable is used by some term: a caller
+        whose terms can drop a variable (a cancelling sum, x * x^-1) prunes
+        first.
         """
         poly = object.__new__(cls)
         object.__setattr__(poly, "variables", variables)
@@ -130,22 +109,22 @@ class LaurentPoly:
         return not self.terms
 
     def is_unit(self):
-        """A unit of the Laurent ring: exactly one term."""
-        return len(self.terms) == 1
+        """A unit of the Laurent ring: one term with coefficient 1 or -1."""
+        return len(self.terms) == 1 and abs(next(iter(self.terms.values()))) == 1
 
-    def as_fraction(self):
-        if not self.terms:
-            return Fraction(0)
+    def __int__(self):
+        """The value of a constant."""
         if self.variables:
             raise ValueError(f"not a constant: {self}")
-        return Fraction(next(iter(self.terms.values())))
+        return self.terms.get((), 0)
 
     def unit_inverse(self):
-        if len(self.terms) != 1:
+        if not self.is_unit():
             raise NonInvertibleError(f"not a Laurent unit: {self}")
+        # the coefficient, 1 or -1, is its own inverse
         (exps, coeff), = self.terms.items()
         return LaurentPoly._from_normal(
-            self.variables, {tuple(-e for e in exps): _canon(1 / Fraction(coeff))}
+            self.variables, {tuple(-e for e in exps): coeff}
         )
 
     def min_exponent(self, name):
@@ -169,7 +148,7 @@ class LaurentPoly:
     def _coerce(self, other):
         if isinstance(other, LaurentPoly):
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return LaurentPoly.constant(other)
         return None
 
@@ -220,10 +199,8 @@ class LaurentPoly:
                 key = tuple(map(_add, e1, e2))
                 total = out.get(key)
                 out[key] = c1 * c2 if total is None else total + c1 * c2
-        if _holds_fraction(a) or _holds_fraction(b):
-            out = {e: _canon(c) for e, c in out.items() if c}
         # with a single term in `a` every key is hit once, so none cancels
-        elif len(a) > 1:
+        if len(a) > 1:
             out = {e: c for e, c in out.items() if c}
         # a variable with only nonnegative exponents keeps its top degree,
         # the product of the operands' top coefficients; so only a zero
@@ -245,7 +222,7 @@ class LaurentPoly:
             (exps, coeff), = self.terms.items()
             return LaurentPoly._from_normal(
                 self.variables,
-                {tuple(power * e for e in exps): _canon(coeff ** power)},
+                {tuple(power * e for e in exps): coeff ** power},
             )
         result = LaurentPoly.one()
         base = self
@@ -263,9 +240,9 @@ class LaurentPoly:
         return self.variables == other.variables and self.terms == other.terms
 
     def __hash__(self):
-        # a constant equals its Fraction, so it must hash like one
+        # a constant equals its int, so it must hash like one
         if not self.variables:
-            return hash(self.as_fraction())
+            return hash(int(self))
         return hash((self.variables, frozenset(self.terms.items())))
 
     # -- substitution ------------------------------------------------------
@@ -321,7 +298,7 @@ class LaurentPoly:
                     for k2, c2 in power
                 ]
             for key, c in expansion:
-                _accumulate(out, key, _canon(c))
+                _accumulate(out, key, c)
         return LaurentPoly._from_normal(*_prune(names, out))
 
     # -- display -----------------------------------------------------------
@@ -396,7 +373,7 @@ def _accumulate(terms, exps, coeff):
         return
     total += coeff
     if total:
-        terms[exps] = _canon(total)
+        terms[exps] = total
     else:
         del terms[exps]
 
@@ -557,8 +534,8 @@ def series_expand(numerator, denominator, var, bound):
 class RingMatrix:
     """Dense matrix over an exact commutative ring.
 
-    Entries may be ints, Fractions, or LaurentPolys (mixing is fine since
-    LaurentPoly coerces both); no division is ever performed.
+    Entries may be ints or LaurentPolys (mixing is fine since LaurentPoly
+    coerces ints); no division is ever performed.
     """
 
     __slots__ = ("rows", "cols", "entries")
@@ -747,7 +724,7 @@ def _dot(row, col):
 
 
 def is_zero(x):
-    """Zero test for any scalar: int, Fraction or LaurentPoly."""
+    """Zero test for any scalar: an int, a LaurentPoly or another number."""
     return x.is_zero() if isinstance(x, LaurentPoly) else x == 0
 
 

@@ -177,13 +177,10 @@ class VerificationReport:
             lines.append(line)
             if c.counterexample:
                 lines.append(f"         counterexample: {c.counterexample}")
+        # the extras are matrices of entry strings
         for name, rows in self.extras.items():
             lines.append(f"  {name}:")
-            if isinstance(rows, list) and rows and isinstance(rows[0], list):
-                for row in rows:
-                    lines.append("    [" + ", ".join(row) + "]")
-            else:
-                lines.append(f"    {rows}")
+            lines.extend("    [" + ", ".join(row) + "]" for row in rows)
         for key in self.typo_keys:
             note = TYPOS[key]
             lines.append(f"  [typo] {note.display}")

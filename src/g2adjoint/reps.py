@@ -189,7 +189,7 @@ def sym_power_char(base_char, k):
         raise ValueError("k must be nonnegative")
     h = [LaurentPoly.one()] + [LaurentPoly.zero()] * k
     for exps, mult in base_char.terms.items():
-        if not isinstance(mult, int) or mult < 0:
+        if mult < 0:
             raise ValueError(f"not a character: weight multiplicity {mult}")
         w = LaurentPoly(base_char.variables, {exps: 1})
         for _ in range(mult):
@@ -220,11 +220,11 @@ def schur_expand(char):
             raise ValueError(
                 f"not a character: maximal monomial is not dominant ({top})"
             )
-        if coeff.denominator != 1 or coeff <= 0:
-            raise ValueError(f"negative or fractional multiplicity {coeff}")
+        if coeff <= 0:
+            raise ValueError(f"negative multiplicity {coeff}")
         m1, m2 = u - w, w
-        out[(m1, m2)] = out.get((m1, m2), 0) + int(coeff)
-        remaining = remaining - int(coeff) * schur_char(m1, m2)
+        out[(m1, m2)] = out.get((m1, m2), 0) + coeff
+        remaining = remaining - coeff * schur_char(m1, m2)
     return out
 
 

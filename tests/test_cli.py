@@ -53,6 +53,17 @@ def test_cli_keeps_a_preset_blas_thread_count():
     assert proc.stdout.splitlines()[0] == "3"
 
 
+def test_the_package_never_loads_fractions():
+    # the exact kernel works over the integers
+    proc = fresh_python(
+        "-c",
+        "import sys, g2adjoint.cli, g2adjoint.lfunc, g2adjoint.orbits; "
+        "print('fractions' in sys.modules)",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_module_entry_point():
     proc = fresh_python("-m", "g2adjoint", "verify", "lie")
     assert proc.returncode == 0, proc.stderr

@@ -87,8 +87,8 @@ def _root_weight(param):
 
 
 def _weight_coeffs(weight):
-    c1 = weight.subs({"T1": 1, "T2": 0}).as_fraction()
-    c2 = weight.subs({"T1": 0, "T2": 1}).as_fraction()
+    c1 = Fraction(int(weight.subs({"T1": 1, "T2": 0})))
+    c2 = Fraction(int(weight.subs({"T1": 0, "T2": 1})))
     return c1, c2
 
 
@@ -113,16 +113,21 @@ ROOTS = _compute_roots()
 PARAM_OF_ROOT = {coords: p for p, coords in ROOTS.items()}
 
 
+# exp_series returns EXP_SCALE exp(u X), which is integral
+EXP_SCALE = factorial(8)
+
+
 def exp_series(x, u):
-    """exp(u X) for a nilpotent matrix X, summed until a power vanishes:
-    the test oracle for the closed form of one_param."""
-    result = RingMatrix.identity(8)
+    """8! exp(u X) for a nilpotent 8x8 matrix X, as the sum of
+    (8!/k!) u^k X^k until a power vanishes: the test oracle for the
+    closed form of one_param."""
+    result = RingMatrix.identity(8).scale(EXP_SCALE)
     power = RingMatrix.identity(8)
     for k in range(1, 9):
         power = power * x
         if is_zero_matrix(power):
             return result
-        result = result + power.scale(u ** k * Fraction(1, factorial(k)))
+        result = result + power.scale(u ** k * (EXP_SCALE // factorial(k)))
     raise ArithmeticError("not nilpotent")
 
 
@@ -267,7 +272,7 @@ def test_bracket_grading():
 def test_one_param_is_the_power_series_exponential():
     u = sym("u")
     for p in ROOT_PARAMS:
-        assert one_param(p, u) == exp_series(root_matrix(p), u), p
+        assert one_param(p, u).scale(EXP_SCALE) == exp_series(root_matrix(p), u), p
 
 
 def test_one_param_basics():
@@ -314,7 +319,8 @@ def test_su21_d_direction_matches_root_coordinates():
     # representatives (with u -> -u)
     u, rho = sym("u"), sym("rho")
     x = root_matrix("d") - root_matrix("b").scale(rho)
-    assert exp_series(x, -u) == one_param("b", rho * u) * one_param("d", -u)
+    g = one_param("b", rho * u) * one_param("d", -u)
+    assert exp_series(x, -u) == g.scale(EXP_SCALE)
 
 
 def test_n2_directions_abelian_and_stabilize():
@@ -552,13 +558,14 @@ def test_matrix_entry_strings_deterministic():
 
 RHO = sym("rho")
 
+# pairs (w0, w1), (w2, w3), (w4, w5) are the three E-coordinates
 W_BASIS = [
     [1, 0, 0, 0, 0, 0, 0, 0],
     [0, -RHO, 0, 0, 0, 0, 0, 0],
-    [0, 0, 0, Fraction(-1, 2), Fraction(-1, 2), 0, 0, 0],
-    [0, 0, Fraction(-1, 2), 0, 0, RHO * Fraction(1, 2), 0, 0],
-    [0, 0, 0, 0, 0, 0, 0, Fraction(1, 2)],
-    [0, 0, 0, 0, 0, 0, Fraction(1, 2), 0],
+    [0, 0, 0, -1, -1, 0, 0, 0],
+    [0, 0, -1, 0, 0, RHO, 0, 0],
+    [0, 0, 0, 0, 0, 0, 0, 1],
+    [0, 0, 0, 0, 0, 0, 1, 0],
 ]
 
 
@@ -571,10 +578,10 @@ def express_in_w_basis(y):
     return [
         y[0],
         -rho_inv * y[1],
-        -2 * y[3],
-        -2 * y[2],
-        2 * y[7],
-        2 * y[6],
+        -y[3],
+        -y[2],
+        y[7],
+        y[6],
     ]
 
 
@@ -627,13 +634,17 @@ def test_su21_action_is_traceless_anti_hermitian():
     trace_p = y[0][0][0] + y[1][1][0] + y[2][2][0]
     trace_r = y[0][0][1] + y[1][1][1] + y[2][2][1]
     assert trace_p.is_zero() and trace_r.is_zero()
-    # X J + J conj(X)^t = 0 with J anti-diagonal: X[i][2-j] + conj(X)[j][2-i] = 0
+    # X K + K conj(X)^t = 0 with K = antidiag(2, 1, 2): the basis with
+    # w2..w5 halved has K = antidiag(1, 1, 1), and doubling the last two
+    # E-coordinates scales K by diag(1, 2, 2)^-1 on both sides.  Entrywise
+    # k[2-j] X[i][2-j] + k[i] conj(X)[j][2-i] = 0, conj(p + tau r) = p - tau r
+    k = (2, 1, 2)
     for i in range(3):
         for j in range(3):
             p1, r1 = y[i][2 - j]
             p2, r2 = y[j][2 - i]
-            assert (p1 + p2).is_zero(), (i, j)
-            assert (r1 - r2).is_zero(), (i, j)
+            assert (k[2 - j] * p1 + k[i] * p2).is_zero(), (i, j)
+            assert (k[2 - j] * r1 - k[i] * r2).is_zero(), (i, j)
 
 
 def test_su21_to_3x3_map_is_injective():

@@ -186,6 +186,29 @@ def test_identity_frobenius_fails_the_eigenspace_checks(monkeypatch):
     assert tuple(map(len, reps.fr_eigensplit())) == (8, 0)
 
 
+def test_refused_frobenius_fails_the_report_instead_of_raising(monkeypatch):
+    # 2 Id is no involution: fr_eigensplit refuses it, and the checks that
+    # use the eigenvalues FAIL with the refusal instead of a traceback
+    from g2adjoint import lfunc, reps
+
+    def doubled(sign=1):
+        return RingMatrix.identity(8).scale(2)
+
+    for module in (reps, lfunc):
+        monkeypatch.setattr(module, "frobenius_matrix", doubled)
+    report = verify_lfactor("nonsplit")
+    refusal = "the Frobenius matrix is not an involution"
+    checks = {c.name: c for c in report.checks}
+    for name in ("frobenius-eigenspace-dimensions", "frobenius-eigenvalue-lists"):
+        assert checks[name].status == "fail"
+        assert checks[name].counterexample == refusal
+    assert checks["frobenius-is-involution"].status == "fail"
+    assert checks["determinant-equals-eigenvalue-blocks"].status == "fail"
+    assert checks["twisted-variant-flips-block-signs"].status == "fail"
+    assert not report.passed
+    assert f"counterexample: {refusal}" in report.to_text()
+
+
 def test_verify_integral_quick():
     report = verify_integral("nonsplit", 8)
     assert report.passed, report.to_text()

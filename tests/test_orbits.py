@@ -33,14 +33,7 @@ from test_g2model import coroot_element
 def reduce_mod(matrix, p):
     """A RingMatrix of integer constants reduced mod p, as a numpy array."""
     return np.array(
-        [
-            [
-                int(e.as_fraction()) % p if isinstance(e, LaurentPoly) else int(e) % p
-                for e in row
-            ]
-            for row in matrix.entries
-        ],
-        dtype=np.int64,
+        [[int(e) % p for e in row] for row in matrix.entries], dtype=np.int64
     )
 
 
