@@ -287,10 +287,6 @@ class LaurentPoly:
                     continue
                 power = powers.get((i, e))
                 if power is None:
-                    if e < 0 and not image.is_unit():
-                        raise NonInvertibleError(
-                            f"substituting non-unit for {self.variables[i]}^{e}"
-                        )
                     power = powers[i, e] = list(_remap(image ** e, names).items())
                 expansion = [
                     (tuple(map(_add, k1, k2)), c1 * c2)

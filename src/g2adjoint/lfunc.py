@@ -112,8 +112,8 @@ def poincare_oracle(bound):
     base = schur_char(1, 1)  # the adjoint character
     lhs = LaurentPoly.zero()
     table = {}
-    for k in range(bound + 1):
-        mults = schur_expand(sym_power_char(base, k))
+    for k, char in enumerate(sym_power_char(base, bound)):
+        mults = schur_expand(char)
         table[k] = mults
         for (m1, m2), mult in sorted(mults.items()):
             lhs = lhs + mult * t1 ** m1 * t2 ** m2 * x ** k

@@ -4,8 +4,8 @@ action on traceless 3x3 matrices.
 Satake classes, Schur characters from Gelfand-Tsetlin patterns, SL2-type
 characters, the matrix of the adjoint representation extended by the
 Frobenius involution X -> J X^t J, the Frobenius eigenspace split, and
-symmetric powers as complete homogeneous polynomials of the weights, with
-their greedy decomposition into irreducible characters.
+symmetric powers as complete homogeneous polynomials of the weights, and
+their irreducible multiplicities read off the Weyl alternant.
 
 Character polynomials live in the Laurent variables alpha1, alpha2 (with
 alpha3 = 1/(alpha1*alpha2) substituted) or mu.
@@ -182,9 +182,9 @@ def sl2_char(k, z):
 
 
 def sym_power_char(base_char, k):
-    """Character of Sym^k: the complete homogeneous polynomial h_k of the
-    weights of `base_char`, with multiplicity, as the X^k coefficient of
-    prod_w 1/(1 - w X); nothing is divided."""
+    """Characters of Sym^0..Sym^k: the complete homogeneous polynomials
+    h_0..h_k of the weights of `base_char`, with multiplicity, as the X^n
+    coefficients of prod_w 1/(1 - w X); nothing is divided."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     h = [LaurentPoly.one()] + [LaurentPoly.zero()] * k
@@ -195,36 +195,36 @@ def sym_power_char(base_char, k):
         for _ in range(mult):
             for n in range(1, k + 1):
                 h[n] = h[n] + w * h[n - 1]
-    return h[k]
+    return h
 
 
 def schur_expand(char):
-    """Decompose a character into irreducible multiplicities by greedy
-    peel-off at the monomial alpha1^u alpha2^w of greatest height 3u + w.
+    """Irreducible multiplicities {(m1, m2): multiplicity} of a character,
+    read off the Weyl character formula (Fulton and Harris, Lecture 24).
 
-    The height is positive on the positive roots, so for a genuine
-    character that monomial is a highest weight.  Returns {(m1, m2):
-    multiplicity}; raises if the input is not a nonnegative integral
-    combination of irreducible characters.
+    With Delta = (alpha1 - alpha2)(alpha1 - alpha3)(alpha2 - alpha3), the
+    product char * Delta is the sum of mult(m1, m2) times the alternant of
+    the highest weight plus rho.  Of that alternant's six monomials only
+    alpha1^(m1+m2+2) alpha2^(m2+1) has exponents u > w > 0, so each such
+    term of char * Delta is one multiplicity.  Raises unless `char` is a
+    character: char * Delta must change sign under both simple reflections
+    and no multiplicity may be negative.
     """
-    remaining = char
+    a1, a2 = sym("alpha1"), sym("alpha2")
+    a3 = (a1 * a2).unit_inverse()
+    alternating = char * (a1 - a2) * (a1 - a3) * (a2 - a3)
+    if (
+        alternating.subs({"alpha1": a2, "alpha2": a1}) != -alternating
+        or alternating.subs({"alpha2": a3}) != -alternating
+        or alternating.variables not in ((), ("alpha1", "alpha2"))
+    ):
+        raise ValueError(f"not a character of alpha1, alpha2: {char}")
     out = {}
-    while not remaining.is_zero():
-        weights = []
-        for exps, coeff in remaining.terms.items():
-            e = dict(zip(remaining.variables, exps))
-            u, w = e.get("alpha1", 0), e.get("alpha2", 0)
-            weights.append((3 * u + w, u, w, coeff))
-        _, u, w, coeff = top = max(weights)
-        if not u >= w >= 0:
-            raise ValueError(
-                f"not a character: maximal monomial is not dominant ({top})"
-            )
-        if coeff <= 0:
-            raise ValueError(f"negative multiplicity {coeff}")
-        m1, m2 = u - w, w
-        out[(m1, m2)] = out.get((m1, m2), 0) + coeff
-        remaining = remaining - coeff * schur_char(m1, m2)
+    for (u, w), coeff in alternating.terms.items():
+        if u > w > 0:
+            if coeff < 0:
+                raise ValueError(f"negative multiplicity {coeff}")
+            out[u - w - 1, w - 1] = coeff
     return out
 
 

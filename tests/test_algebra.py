@@ -278,7 +278,7 @@ def test_substitution():
     p = v("a", 2) * v("b", -1) + 3
     q = p.subs({"b": LaurentPoly.monomial(1, {"c": 2})})
     assert q == v("a", 2) * v("c", -2) + 3
-    with pytest.raises(NonInvertibleError, match=r"non-unit for b\^-1"):
+    with pytest.raises(NonInvertibleError, match="not a Laurent unit"):
         p.subs({"b": v("c") + 1})
     assert p.subs({"a": 2, "b": -1}) == -1
 

@@ -294,16 +294,23 @@ def test_one_param_lands_in_g2():
         assert g.apply(list(V0_VECTOR)) == list(V0_VECTOR), p
 
 
-def test_one_param_entries_are_integral():
-    # exponentials have integer polynomial entries: the 1/2 always cancels
-    u = sym("u")
-    for p in ROOT_PARAMS:
-        g = one_param(p, u)
-        for i in range(8):
-            for j in range(8):
-                e = g[i, j]
-                if isinstance(e, LaurentPoly):
-                    assert all(c.denominator == 1 for c in e.terms.values()), p
+@pytest.mark.parametrize(
+    "entries",
+    [
+        # E^3 = 0, but E^2 = e_02 is odd
+        {(0, 1): 1, (1, 2): 1},
+        # E^2 = 4 (e_02 + e_13) is even, but E^3 = 8 e_03 is not zero
+        {(0, 1): 2, (1, 2): 2, (2, 3): 2},
+    ],
+    ids=["odd-square", "cube-not-zero"],
+)
+def test_root_exp_refuses_non_integral_exponential(monkeypatch, entries):
+    from g2adjoint import g2model
+
+    e = RingMatrix([[entries.get((i, j), 0) for j in range(8)] for i in range(8)])
+    monkeypatch.setattr(g2model, "root_matrix", lambda param: e)
+    with pytest.raises(ArithmeticError):
+        g2model.root_exp("a")
 
 
 def test_coset_representative_stabilizes_v_rho():

@@ -1,7 +1,7 @@
 """Representation-theory tests: Schur characters against the
 Gelfand-Tsetlin and bialternant oracles, the adjoint/Frobenius matrices,
-symmetric powers against Newton's identity, and the greedy irreducible
-decomposition."""
+symmetric powers against Newton's identity, and the Weyl read-off of
+irreducible multiplicities against a greedy peel."""
 
 from fractions import Fraction
 from itertools import permutations
@@ -358,8 +358,10 @@ def newton_sym_power(base_char, k):
 @pytest.mark.parametrize("m1,m2", [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)])
 def test_sym_power_matches_newton_oracle(m1, m2):
     base = schur_char(m1, m2)
+    chars = sym_power_char(base, 5)
+    assert len(chars) == 6
     for k in range(6):
-        assert sym_power_char(base, k) == newton_sym_power(base, k), k
+        assert chars[k] == newton_sym_power(base, k), k
 
 
 def test_sym_power_refuses_non_characters():
@@ -373,9 +375,11 @@ def test_sym_power_refuses_non_characters():
 
 def test_sym_power_basics():
     base = schur_char(1, 1)
-    assert sym_power_char(base, 0) == 1
-    assert sym_power_char(base, 1) == base
-    dim2 = int(sym_power_char(base, 2).subs({"alpha1": 1, "alpha2": 1}))
+    assert sym_power_char(base, 0) == [1]
+    h0, h1, h2 = sym_power_char(base, 2)
+    assert h0 == 1
+    assert h1 == base
+    dim2 = int(h2.subs({"alpha1": 1, "alpha2": 1}))
     assert dim2 == 36
     with pytest.raises(ValueError):
         sym_power_char(base, -1)
@@ -401,12 +405,70 @@ def test_schur_expand_rejects_non_character():
     with pytest.raises(ValueError):
         schur_expand(-schur_char(1, 0))
     with pytest.raises(ValueError):
-        # the lone monomial alpha1^-1 has no dominant peak
+        # the lone monomial alpha1^-1 is not Weyl-invariant
         schur_expand(sym("alpha1", -1))
+    a1, a2 = sym("alpha1"), sym("alpha2")
+    # each is invariant under one simple reflection only
+    for half_symmetric in (a1 + a2, a2 + (a1 * a2).unit_inverse()):
+        with pytest.raises(ValueError):
+            schur_expand(half_symmetric)
+    # Weyl-invariant, but not a polynomial in alpha1, alpha2 alone
+    with pytest.raises(ValueError, match="not a character"):
+        schur_expand(sym("q") * schur_char(1, 1))
+
+
+def peel_expand(char):
+    """Independent oracle: greedy peel-off at the monomial alpha1^u
+    alpha2^w of greatest height 3u + w, a highest weight of a genuine
+    character, subtracting one Gelfand-Tsetlin character per peel."""
+    remaining = char
+    out = {}
+    while not remaining.is_zero():
+        weights = []
+        for exps, coeff in remaining.terms.items():
+            e = dict(zip(remaining.variables, exps))
+            u, w = e.get("alpha1", 0), e.get("alpha2", 0)
+            weights.append((3 * u + w, u, w, coeff))
+        _, u, w, coeff = top = max(weights)
+        if not u >= w >= 0:
+            raise ValueError(f"maximal monomial is not dominant ({top})")
+        if coeff <= 0:
+            raise ValueError(f"negative multiplicity {coeff}")
+        out[u - w, w] = out.get((u - w, w), 0) + coeff
+        remaining = remaining - coeff * gt_character(u - w, w)
+    return out
+
+
+@pytest.mark.parametrize("m1,m2", [(1, 1), (2, 0)])
+def test_schur_expand_matches_peel_oracle(m1, m2):
+    for k, char in enumerate(sym_power_char(schur_char(m1, m2), 8)):
+        assert schur_expand(char) == peel_expand(char), k
+
+
+def test_poincare_oracle_builds_one_schur_character(monkeypatch):
+    from g2adjoint import lfunc, reps
+
+    calls = {"schur_char": 0, "sym_power_char": 0}
+
+    def counted(name):
+        inner = getattr(reps, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        return wrapper
+
+    for name in calls:
+        wrapper = counted(name)
+        monkeypatch.setattr(reps, name, wrapper)
+        monkeypatch.setattr(lfunc, name, wrapper)
+    assert lfunc.poincare_oracle(12).passed
+    assert calls == {"schur_char": 1, "sym_power_char": 1}
 
 
 def test_sym_cube_of_adjoint():
-    table = schur_expand(sym_power_char(schur_char(1, 1), 3))
+    table = schur_expand(sym_power_char(schur_char(1, 1), 3)[3])
     assert sum(m * weyl_dimension(*k) for k, m in table.items()) == 120
 
 
