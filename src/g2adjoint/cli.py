@@ -5,8 +5,11 @@ integral, orbits, all.  Output is human-readable text or a stable JSON
 document; exit code 0 when every check passes, 1 on any failure, 2 on
 usage errors and invalid values.
 
+Only the orbit suite needs numpy, and it is imported when that suite
+runs, so the other five suites and a refused --q/--rho never load it.
 Importing this module sets OPENBLAS_NUM_THREADS to 1 unless it is already
-set, before numpy loads.
+set, so the CLI loads numpy with one OpenBLAS thread when the orbit suite
+runs.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import time
 # numpy loads, and each one spins waiting for work that never comes.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from . import g2model, lfunc, orbits
+from . import fields, g2model, lfunc
 from .report import merge_reports, reports_to_json
 
 DEFAULT_DEGREE = 12
@@ -99,7 +102,7 @@ def _check_values(args):
             args.usage_error(f"--out {args.out}: cannot write a file there")
     if hasattr(args, "q"):
         try:
-            orbits._validate(args.q, args.rho)
+            fields.validate(args.q, args.rho)
         except ValueError as exc:
             args.usage_error(f"--q {args.q} --rho {args.rho}: {exc}")
 
@@ -116,6 +119,13 @@ def _by_case(suite, case, verify, **parameters):
     )
 
 
+def _orbits(args):
+    # numpy loads here, when the orbit suite starts, and at no other time
+    from . import orbits
+
+    return orbits.verify_orbits(args.q, args.rho)
+
+
 # Every suite in report order; `all` runs each of them.  The entries look
 # their functions up on the module at call time, so patching a module
 # attribute takes effect.
@@ -130,7 +140,7 @@ SUITES = {
         "integral", args.case, lambda c: lfunc.verify_integral(c, args.degree),
         degree=args.degree,
     ),
-    "orbits": lambda args: orbits.verify_orbits(args.q, args.rho),
+    "orbits": _orbits,
 }
 
 

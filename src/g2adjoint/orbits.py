@@ -29,18 +29,20 @@ verify_orbits builds once and hands to the check of both quadratic
 classes; nothing is cached between calls.  Each class runs three BFS:
 one over the v3 != 0 part (q^4(q^2 - 1) keys) and two over the v3 = 0
 part (q^3(q +- 1) keys), the second in reversed generator order.
-ORBIT_CAP bounds the bytes of one map, and of all the step tables a
-FieldSetup holds at once; a q whose map is over it is refused before any
+fields.ORBIT_CAP bounds the bytes of one map, and of all the step tables
+a FieldSetup holds at once; a q whose map is over it is refused before any
 BFS.
 
-The BFS makes no BLAS call.  The CLI loads numpy with one OpenBLAS thread;
-importing this module as a library leaves the host's BLAS settings alone.
+The BFS makes no BLAS call.  The CLI loads numpy with one OpenBLAS thread
+when the orbit suite runs; importing this module as a library leaves the
+host's BLAS settings alone.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import fields
 from .g2model import (
     J8,
     OPPOSITE_ROOT,
@@ -54,10 +56,6 @@ from .g2model import (
 )
 from .report import VerificationReport, merge_reports
 
-# bytes of one occupancy map, and of all the step tables of a FieldSetup:
-# q = 17 (a 391 MB map, 23 MB of tables) runs, q = 19 (an 852 MB map)
-# does not.  A check holds at most two maps at once
-ORBIT_CAP = 2 ** 29
 # vectors per BFS block, and keys per chunk where a map is read or compared
 _BLOCK = 1 << 14
 _CHUNK = 1 << 18
@@ -87,32 +85,6 @@ def _n_mod(param, t, p):
 def coroot_mod(param, t, p):
     """h_root(t) = n_root(t) n_root(-1) mod p."""
     return _n_mod(param, t, p) @ _n_mod(param, p - 1, p) % p
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def _validate(q, rho):
-    """Refuse a (q, rho) the orbit suite cannot run, before any BFS."""
-    # every BFS allocates an occupancy map of q^7 bytes; bounding it first
-    # refuses a huge q before it is tested for primality
-    if q ** 7 > ORBIT_CAP:
-        raise ValueError(
-            f"the orbit map of V0 takes q^7 = {q ** 7} bytes "
-            f"({q ** 7 / 2 ** 20:.0f} MB), over the cap of {ORBIT_CAP}"
-        )
-    if not _is_prime(q):
-        raise ValueError(f"{q} is not prime")
-    if q in (2, 3) or rho % q == 0:
-        raise ValueError("need q coprime to 6*rho")
 
 
 def group_generators(q, which="full"):
@@ -256,9 +228,10 @@ def _steps(gens, p):
             raise ValueError("a generator does not map V0 into V0")
         splits.append((m, _split(m, p)))
     table_bytes = 8 * sum(p ** pre + p ** suf for _, (_, pre, suf) in splits)
-    if table_bytes > ORBIT_CAP:
+    if table_bytes > fields.ORBIT_CAP:
         raise RuntimeError(
-            f"orbit step tables of {table_bytes} bytes exceed cap {ORBIT_CAP}"
+            f"orbit step tables of {table_bytes} bytes exceed cap "
+            f"{fields.ORBIT_CAP}"
         )
     return [
         (
@@ -287,8 +260,10 @@ def orbit(start, gens, p, steps=None):
     injective cannot inflate it, and the map is a set, hence the same for
     any order of the generators.
     """
-    if p ** 7 > ORBIT_CAP:
-        raise RuntimeError(f"orbit map of {p ** 7} bytes exceeds cap {ORBIT_CAP}")
+    if p ** 7 > fields.ORBIT_CAP:
+        raise RuntimeError(
+            f"orbit map of {p ** 7} bytes exceeds cap {fields.ORBIT_CAP}"
+        )
     start = np.asarray(start, dtype=np.int64) % p
     if start[3] != start[4]:
         raise ValueError("start vector is not in V0")
@@ -424,7 +399,7 @@ def double_coset_check(q, rho, setup=None):
     by vanishing of the last two coordinates.  The G2-orbit is derived
     from the two H_P-orbits (see FieldSetup), not enumerated.  `setup` is
     a FieldSetup of the same q, built here if not given."""
-    _validate(q, rho)
+    fields.validate(q, rho)
     if setup is None:
         setup = FieldSetup(q)
     elif setup.q != q:
@@ -537,7 +512,7 @@ def companion_rho(q, rho):
 def verify_orbits(q, rho):
     """Run the double-coset analogue for the requested rho and for a
     companion of the opposite quadratic class, on one FieldSetup."""
-    _validate(q, rho)
+    fields.validate(q, rho)
     setup = FieldSetup(q)
     first = double_coset_check(q, rho, setup=setup)
     other = double_coset_check(q, companion_rho(q, rho), setup=setup)

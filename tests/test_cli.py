@@ -29,9 +29,13 @@ def fresh_python(*args, **env):
     )
 
 
+# importing cli alone does not load numpy; importing orbits after it does,
+# with the thread count cli has set
 THREADS_AFTER_IMPORT = """
-import os
+import os, sys
 import g2adjoint.cli
+import g2adjoint.orbits
+assert "numpy" in sys.modules
 tasks = "/proc/self/task"
 print(os.environ.get("OPENBLAS_NUM_THREADS"))
 print(len(os.listdir(tasks)) if os.path.isdir(tasks) else "")
@@ -51,6 +55,40 @@ def test_cli_keeps_a_preset_blas_thread_count():
     proc = fresh_python("-c", THREADS_AFTER_IMPORT, OPENBLAS_NUM_THREADS="3")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == "3"
+
+
+# runs cli.main on the arguments after -c; prints whether numpy was loaded
+# after the import and after the run, and the exit code
+MAIN_IN_FRESH = """
+import contextlib, io, sys
+from g2adjoint.cli import main
+print("numpy" in sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        code = main(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
+print(code, "numpy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, code, loads_numpy",
+    [
+        (["verify", "lie"], 0, False),
+        (["verify", "iwasawa"], 0, False),
+        (["verify", "identities", "--degree", "2"], 0, False),
+        (["verify", "lfactor"], 0, False),
+        (["verify", "integral", "--degree", "2"], 0, False),
+        # the field rules refuse --q 9 before any suite, without numpy
+        (["verify", "all", "--q", "9"], 2, False),
+        (["verify", "orbits", "--q", "5"], 0, True),
+    ],
+    ids=lambda value: " ".join(value[1:]) if isinstance(value, list) else None,
+)
+def test_only_the_orbit_suite_loads_numpy(argv, code, loads_numpy):
+    proc = fresh_python("-c", MAIN_IN_FRESH, *argv)
+    assert proc.stdout == f"False\n{code} {loads_numpy}\n", proc.stderr
 
 
 def test_the_package_never_loads_fractions():

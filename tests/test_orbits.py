@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from g2adjoint import fields
 from g2adjoint.algebra import LaurentPoly
 from g2adjoint.g2model import ROOT_EXP, ROOT_PARAMS, one_param, root_exp
 from g2adjoint.orbits import (
@@ -110,9 +111,7 @@ def test_orbit_under_identity_is_singleton():
 
 
 def test_orbit_cap_is_enforced(monkeypatch):
-    from g2adjoint import orbits
-
-    monkeypatch.setattr(orbits, "ORBIT_CAP", 100)
+    monkeypatch.setattr(fields, "ORBIT_CAP", 100)
     gens = group_generators(5, "full")
     with pytest.raises(RuntimeError):
         orbit(np.array([0, 0, 1, 0, 0, 2, 0, 0]), gens, 5)
@@ -135,7 +134,7 @@ def test_tables_over_cap_are_refused_before_any_is_built(monkeypatch):
     table_bytes = sum(hi.nbytes + lo.nbytes for _, hi, _, lo in _steps(gens, 5))
     # under this cap the q^7-byte map fits and the tables do not
     assert table_bytes > 5 ** 7
-    monkeypatch.setattr(orbits, "ORBIT_CAP", table_bytes)
+    monkeypatch.setattr(fields, "ORBIT_CAP", table_bytes)
     assert len(_steps(gens, 5)) == len(gens)
 
     def refuse(*args):
@@ -144,7 +143,7 @@ def test_tables_over_cap_are_refused_before_any_is_built(monkeypatch):
     monkeypatch.setattr(orbits, "_table", refuse)
     with pytest.raises(AssertionError):
         orbit(_v_rho(2, 5), gens, 5)
-    monkeypatch.setattr(orbits, "ORBIT_CAP", table_bytes - 1)
+    monkeypatch.setattr(fields, "ORBIT_CAP", table_bytes - 1)
     with pytest.raises(RuntimeError, match="tables of"):
         orbit(_v_rho(2, 5), gens, 5)
 
@@ -372,11 +371,11 @@ def test_map_over_cap_is_refused_before_any_bfs(monkeypatch):
         double_coset_check(23, 2)
     with pytest.raises(ValueError, match="cap of"):
         verify_orbits(23, 2)
-    monkeypatch.setattr(orbits, "ORBIT_CAP", 78124)
+    monkeypatch.setattr(fields, "ORBIT_CAP", 78124)
     with pytest.raises(ValueError, match="cap of 78124"):
         double_coset_check(5, 2)
     monkeypatch.undo()
-    monkeypatch.setattr(orbits, "ORBIT_CAP", 78125)
+    monkeypatch.setattr(fields, "ORBIT_CAP", 78125)
     assert double_coset_check(5, 2).passed
 
 
