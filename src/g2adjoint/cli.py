@@ -6,15 +6,16 @@ document; exit code 0 when every check passes, 1 on any failure, 2 on
 usage errors and invalid values.
 
 Only the orbit suite needs numpy, and it is imported when that suite
-runs, so the other five suites and a refused --q/--rho never load it.
-Importing this module sets OPENBLAS_NUM_THREADS to 1 unless it is already
-set, so the CLI loads numpy with one OpenBLAS thread when the orbit suite
-runs.
+runs, so the other five suites and a refused --q/--rho never load it;
+without numpy, `verify orbits` and `verify all` exit 2 before any suite.
+Importing this module sets OPENBLAS_NUM_THREADS to 1 unless already set,
+so the CLI loads numpy with one OpenBLAS thread when the orbit suite runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import os
 import sys
 import time
@@ -105,6 +106,9 @@ def _check_values(args):
             fields.validate(args.q, args.rho)
         except ValueError as exc:
             args.usage_error(f"--q {args.q} --rho {args.rho}: {exc}")
+        # find_spec looks numpy up without importing it
+        if importlib.util.find_spec("numpy") is None:
+            args.usage_error("the orbit suite needs numpy, which is not installed")
 
 
 def _by_case(suite, case, verify, **parameters):

@@ -8,10 +8,10 @@ loading numpy; `orbits` reads the same cap and rules from this module.
 
 from __future__ import annotations
 
-# bytes of one occupancy map, and of all the step tables of a FieldSetup:
-# q = 17 (a 391 MB map, 23 MB of tables) runs, q = 19 (an 852 MB map)
-# does not.  A check holds at most two maps at once.  Read it as
-# fields.ORBIT_CAP, so that patching it here takes effect everywhere
+# bytes of one orbit bit map and all the step tables of a FieldSetup:
+# q = 23 (426 MB of bits, 52 MB of tables) runs, q = 29 (2.1 GB) does not,
+# and keys stay below 2^32.  A check holds at most two maps at once.  Read
+# it as fields.ORBIT_CAP, so that patching it here takes effect everywhere
 ORBIT_CAP = 2 ** 29
 
 
@@ -28,12 +28,12 @@ def _is_prime(n):
 
 def validate(q, rho):
     """Refuse a (q, rho) the orbit suite cannot run, before any BFS."""
-    # every BFS allocates an occupancy map of q^7 bytes; bounding it first
-    # refuses a huge q before it is tested for primality
-    if q ** 7 > ORBIT_CAP:
+    # every BFS allocates a bit map of q^7 bits; bounding it first refuses
+    # a huge q before it is tested for primality
+    if -(-q ** 7 // 8) > ORBIT_CAP:
         raise ValueError(
-            f"the orbit map of V0 takes q^7 = {q ** 7} bytes "
-            f"({q ** 7 / 2 ** 20:.0f} MB), over the cap of {ORBIT_CAP}"
+            f"the orbit map of V0 takes q^7 bits = {-(-q ** 7 // 8)} bytes "
+            f"({q ** 7 / 2 ** 23:.0f} MB), over the cap of {ORBIT_CAP}"
         )
     if not _is_prime(q):
         raise ValueError(f"{q} is not prime")

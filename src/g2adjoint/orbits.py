@@ -15,13 +15,13 @@ field, and the report labels it as such.
 Every orbit lies in V0 = v0^perp = {v3 = v4}, so a vector is indexed by
 its key, the base-p digits of (v0, v1, v2, v3, v5, v6, v7) with v0 most
 significant; key order is the lexicographic order of the vectors.  A BFS
-holds int64 keys only: the image of a key under a generator is the sum
-of two integer table lookups, one indexed by a leading run of its digits
-and one by a trailing run, with no float arithmetic and nothing decoded.
-It marks its orbit in an occupancy map of p^7 bytes, one per key, so the
-closure is a set (hence order-independent).  Every check reads the keys
-of the maps, a chunk at a time: the side of the predicate is key % p^2,
-and norms are read off the digits, split by an int32 divide chain.
+holds uint32 keys only (23^7 < 2^32): the image of a key under a
+generator is the sum of two integer table lookups, one indexed by a
+leading run of its digits and one by a trailing run.  It marks its orbit
+in a bit map of p^7 bits, so the closure is a set (hence
+order-independent).  The checks test each block of keys as the BFS
+expands it: the side of the predicate is key % p^2, and norms are read
+off the digits.
 
 What depends on q alone (the generator lists and their verdicts, the
 H_P generating set and its step tables) is a FieldSetup, which
@@ -29,9 +29,9 @@ verify_orbits builds once and hands to the check of both quadratic
 classes; nothing is cached between calls.  Each class runs three BFS:
 one over the v3 != 0 part (q^4(q^2 - 1) keys) and two over the v3 = 0
 part (q^3(q +- 1) keys), the second in reversed generator order.
-fields.ORBIT_CAP bounds the bytes of one map, and of all the step tables
-a FieldSetup holds at once; a q whose map is over it is refused before any
-BFS.
+fields.ORBIT_CAP bounds the bytes of one map and of all the step tables
+a FieldSetup holds, together; a q whose map alone is over it is refused
+before any BFS.
 
 The BFS makes no BLAS call.  The CLI loads numpy with one OpenBLAS thread
 when the orbit suite runs; importing this module as a library leaves the
@@ -56,7 +56,7 @@ from .g2model import (
 )
 from .report import VerificationReport, merge_reports
 
-# vectors per BFS block, and keys per chunk where a map is read or compared
+# vectors per BFS block, and bytes per chunk where a map is counted or read
 _BLOCK = 1 << 14
 _CHUNK = 1 << 18
 
@@ -91,20 +91,18 @@ def group_generators(q, which="full"):
     """Generators of G2(F_q) (or of the parabolic P(F_q)) as numpy arrays:
     one-parameter elements for every root and every t in F_q^x, plus the
     coroot torus words h_alpha1(t), h_alpha2(t)."""
-    if which == "full":
-        params = ROOT_PARAMS
-    elif which == "parabolic":
-        params = PARABOLIC_PARAMS
-    else:
+    if which not in ("full", "parabolic"):
         raise ValueError(f"unknown generator set {which!r}")
-    gens = []
-    for param in params:
-        for t in range(1, q):
-            gens.append(one_param_mod(param, t, q))
-    for param in SIMPLE_PARAMS:
-        for t in range(2, q):
-            gens.append(coroot_mod(param, t, q))
-    return gens
+    gens = [one_param_mod(param, t, q) for param in ROOT_PARAMS for t in range(1, q)]
+    gens += [coroot_mod(param, t, q) for param in SIMPLE_PARAMS for t in range(2, q)]
+    return gens if which == "full" else _parabolic(gens, q)
+
+
+def _parabolic(full, q):
+    """The generators of P(F_q) picked out of group_generators(q, "full"):
+    the elements of the roots in PARABOLIC_PARAMS, and the coroot words."""
+    of_p = [param in PARABOLIC_PARAMS for param in ROOT_PARAMS for _ in range(1, q)]
+    return [g for i, g in enumerate(full) if i >= len(of_p) or of_p[i]]
 
 
 def bfs_generators(q):
@@ -130,19 +128,28 @@ def _trilinear_dense():
     return t
 
 
+def _pull_back(g, q):
+    """T(g x, g y, g z) mod q for a stack g of generators, as an array
+    [generator, i, j, k]: three batched matmuls, one index at a time."""
+    gt = g.transpose(0, 2, 1)
+    pulled = gt @ _trilinear_dense().reshape(8, 64) % q
+    pulled = gt[:, None] @ pulled.reshape(-1, 8, 8, 8) % q
+    return pulled @ g[:, None] % q
+
+
 def generator_invariants_hold(gens, q):
-    """Every generator preserves J, the trilinear form, and v0."""
-    g = np.stack(gens)
+    """Every generator preserves J, the trilinear form, and v0; tested 32
+    generators at a time, so the temporaries stay small."""
     j = np.array(J8.entries, dtype=np.int64)
     v0 = np.array(V0_VECTOR, dtype=np.int64) % q
-    preserves_j = (g @ j % q @ g.transpose(0, 2, 1) % q == j).all()
-    fixes_v0 = (g @ v0 % q == v0).all()
-    # T(g x, g y, g z) for all generators at once, one index at a time
-    t = _trilinear_dense()
-    pulled = np.einsum("lmn,gli->gimn", t, g) % q
-    pulled = np.einsum("gimn,gmj->gijn", pulled, g) % q
-    pulled = np.einsum("gijn,gnk->gijk", pulled, g) % q
-    return bool(preserves_j and fixes_v0 and (pulled == t % q).all())
+    t = _trilinear_dense() % q
+    chunks = (np.stack(gens[i:i + 32]) for i in range(0, len(gens), 32))
+    return all(
+        (g @ j % q @ g.transpose(0, 2, 1) % q == j).all()
+        and (g @ v0 % q == v0).all()
+        and (_pull_back(g, q) == t).all()
+        for g in chunks
+    )
 
 
 # The coordinates that index V0 = {v3 = v4}, in key order; v4 is read as v3
@@ -158,8 +165,8 @@ def _on_v0(g, p):
 
 
 class OrbitMap:
-    """An orbit in V0 as an occupancy map: `seen[key]` holds for the keys
-    of its vectors, and len() is its size."""
+    """An orbit in V0 as a bit map: bit key % 8 of byte `seen[key // 8]`
+    is set for the keys of its vectors, and len() is its size."""
 
     __slots__ = ("seen", "size")
 
@@ -188,15 +195,15 @@ def _split(m, p):
 
 def _table(m, rows, cols, p):
     """table[w] = the key part of the output digits `rows` of m v, for the
-    v whose digits `cols` spell w in base p (first most significant).
-    Only `cols` may be nonzero in those rows of m.  Each row's digit sum
-    is broadcast over just the digits it reads, so a row costs one pass
-    over the table."""
-    pows = p ** np.arange(6, -1, -1, dtype=np.int64)
-    axes = np.ix_(*[np.arange(p, dtype=np.int64)] * len(cols))
-    table = np.zeros((p,) * len(cols), dtype=np.int64)
+    v whose digits `cols` spell w in base p (first most significant), as
+    uint32.  Only `cols` may be nonzero in those rows of m.  Each row's
+    digit sum is broadcast over just the digits it reads, so a row costs
+    one pass over the table."""
+    pows = p ** np.arange(6, -1, -1, dtype=np.uint32)
+    axes = np.ix_(*[np.arange(p, dtype=np.uint32)] * len(cols))
+    table = np.zeros((p,) * len(cols), dtype=np.uint32)
     for i in rows:
-        acc = sum(c * axis for c, axis in zip(m[i, cols], axes) if c)
+        acc = sum(int(c) * axis for c, axis in zip(m[i, cols], axes) if c)
         table += acc % p * pows[i]
     return table.ravel()
 
@@ -220,19 +227,19 @@ def _steps(gens, p):
     first `pre` digits of a key and the trailing ones only the last `suf`
     (_split), so d = p^(7 - pre) and n = p^suf.  ValueError if g does not
     map V0 into V0; RuntimeError, before any table is built, if the
-    tables take more than ORBIT_CAP bytes in all."""
+    tables and one orbit map of p^7 bits take more than ORBIT_CAP bytes
+    in all."""
     splits = []
     for g in gens:
         m, into_v0 = _on_v0(g, p)
         if not into_v0:
             raise ValueError("a generator does not map V0 into V0")
         splits.append((m, _split(m, p)))
-    table_bytes = 8 * sum(p ** pre + p ** suf for _, (_, pre, suf) in splits)
-    if table_bytes > fields.ORBIT_CAP:
-        raise RuntimeError(
-            f"orbit step tables of {table_bytes} bytes exceed cap "
-            f"{fields.ORBIT_CAP}"
-        )
+    map_bytes = -(-p ** 7 // 8)
+    table_bytes = 4 * sum(p ** pre + p ** suf for _, (_, pre, suf) in splits)
+    if map_bytes + table_bytes > fields.ORBIT_CAP:
+        raise RuntimeError(f"an orbit map of {map_bytes} bytes and step tables "
+                           f"of {table_bytes} bytes exceed cap {fields.ORBIT_CAP}")
     return [
         (
             p ** (7 - pre),
@@ -244,26 +251,22 @@ def _steps(gens, p):
     ]
 
 
-def orbit(start, gens, p, steps=None):
+def orbit(start, gens, p, steps=None, visit=None):
     """Closure of {start} under left multiplication by gens, as an
-    OrbitMap over the p^7 keys of V0 (one byte each).
+    OrbitMap over the p^7 keys of V0 (one bit each).
 
     start must lie in V0 and every generator map V0 into V0 (ValueError
-    otherwise).  The frontier holds int64 keys only, and a generator step
-    is two integer table lookups, hi[key // d] + lo[key % n] (_steps),
-    with no float arithmetic; membership and marking are one fancy index
-    each, before anything is appended.  `steps`, if given, is _steps(gens,
-    p) built beforehand, one entry per generator; otherwise it is built
-    here.  A map of more than ORBIT_CAP bytes, or tables of more than
-    ORBIT_CAP bytes in all, raise RuntimeError before either is allocated.
-    The size is the count of marked keys, so a generator that is not
-    injective cannot inflate it, and the map is a set, hence the same for
-    any order of the generators.
+    otherwise).  The frontier holds uint32 keys only, and a generator step
+    is two integer table lookups, hi[key // d] + lo[key % n] (_steps);
+    membership is one lookup of each image's byte and marking one
+    np.bitwise_or.at, before anything is appended.  `steps`, if given, is
+    _steps(gens, p), one entry per generator; otherwise it is built here
+    (RuntimeError if it and the map exceed ORBIT_CAP).  `visit`, if given,
+    is called on each block of keys the BFS expands; each key, the start
+    included, is in one block (in more only if a generator is not
+    injective).  The size is the count of set bits, so it cannot be
+    inflated, and the map is a set, the same for any generator order.
     """
-    if p ** 7 > fields.ORBIT_CAP:
-        raise RuntimeError(
-            f"orbit map of {p ** 7} bytes exceeds cap {fields.ORBIT_CAP}"
-        )
     start = np.asarray(start, dtype=np.int64) % p
     if start[3] != start[4]:
         raise ValueError("start vector is not in V0")
@@ -271,24 +274,31 @@ def orbit(start, gens, p, steps=None):
         steps = _steps(gens, p)
     elif len(steps) != len(gens):
         raise ValueError(f"{len(steps)} step tables for {len(gens)} generators")
-    keys = np.array([start[_V0] @ p ** np.arange(6, -1, -1)])
-    seen = np.zeros(p ** 7, dtype=bool)
-    seen[keys] = True
-    frontier = [keys]
+    key = int(start[_V0] @ p ** np.arange(6, -1, -1))
+    seen = np.zeros(-(-p ** 7 // 8), dtype=np.uint8)
+    seen[key >> 3] = 1 << (key & 7)
+    frontier = [np.array([key], dtype=np.uint32)]
     while frontier:
         parts = []
         for keys in _blocks(frontier):
+            if visit is not None:
+                visit(keys)
             for d, hi, n, lo in steps:
-                # keys - keys // n * n is keys % n and compress() a boolean
-                # index, each at under half the cost of numpy's own form
-                images = hi[keys // d]
-                images += lo[keys - keys // n * n]
-                images = images.compress(~seen[images])
-                if len(images):
-                    seen[images] = True
-                    parts.append(images)
+                # keys - keys // n * n is keys % n, and take() and compress()
+                # are a fancy and a boolean index, each at under half the
+                # cost of numpy's own form; bitwise_or.at is fast on intp
+                images = hi.take(keys // d)
+                images += lo.take(keys - keys // n * n)
+                byte = (images >> 3).astype(np.intp)
+                bit = np.left_shift(1, images & 7, dtype=np.uint8)
+                fresh = seen.take(byte) & bit == 0
+                if fresh.any():
+                    np.bitwise_or.at(seen, byte.compress(fresh), bit.compress(fresh))
+                    parts.append(images.compress(fresh))
         frontier = parts
-    return OrbitMap(seen, int(np.count_nonzero(seen)))
+    chunks = range(0, len(seen), _CHUNK)
+    size = sum(int(np.bitwise_count(seen[i:i + _CHUNK]).sum()) for i in chunks)
+    return OrbitMap(seen, size)
 
 
 def _same_map(a, b):
@@ -304,46 +314,31 @@ def _key_norms(keys, p):
     """<v, v> = sum v_i v_{7-i} = 2(v0 v7 + v1 v6 + v2 v5 + v3^2) mod p
     of the V0 vectors of an array of keys, read off their digits.
 
-    The digits are split off in int32, least significant first, so every
-    key below p^7 must fit in int32 (ValueError otherwise)."""
-    if p ** 7 - 1 > np.iinfo(np.int32).max:
-        raise ValueError(f"keys below {p}^7 do not fit in int32")
-    rest = np.asarray(keys).astype(np.int32)
+    The digits are split off in uint32 by divisions, which cannot wrap;
+    every key below p^7 must fit in uint32 (ValueError otherwise)."""
+    if p ** 7 > 2 ** 32:
+        raise ValueError(f"keys below {p}^7 do not fit in uint32")
+    rest = np.asarray(keys, dtype=np.uint32)
     digits = []
     for _ in range(6):
         high = rest // p
-        rest -= high * p
-        digits.append(rest)
+        digits.append(rest - high * p)
         rest = high
     v7, v6, v5, v3, v2, v1 = digits
-    norm = rest * v7
-    norm += v1 * v6
-    norm += v2 * v5
-    norm += v3 * v3
-    norm *= 2
-    norm %= p
-    return norm
+    norm = 2 * (rest * v7 + v1 * v6 + v2 * v5 + v3 * v3)
+    # norm - norm // p * p is norm % p at under half its cost
+    return norm - norm // p * p
 
 
 def sphere_count(q, rho):
     """Number of v in V0 with <v, v> = 2*rho over F_q, by direct counting
     of the quadratic form v0*v7 + v1*v6 + v2*v5 + v3^2 = rho."""
-    pair_counts = np.zeros(q, dtype=np.int64)
-    for u in range(q):
-        for w in range(q):
-            pair_counts[(u * w) % q] += 1
-    conv2 = np.zeros(q, dtype=np.int64)
-    for s in range(q):
-        for t in range(q):
-            conv2[(s + t) % q] += pair_counts[s] * pair_counts[t]
-    conv3 = np.zeros(q, dtype=np.int64)
-    for s in range(q):
-        for t in range(q):
-            conv3[(s + t) % q] += conv2[s] * pair_counts[t]
-    total = 0
-    for v3 in range(q):
-        total += conv3[(rho - v3 * v3) % q]
-    return int(total)
+    u = np.arange(q)
+    # pairs[s] counts the u w = s, and conv @ c convolves c with pairs
+    # cyclically, so conv @ conv @ pairs counts v0 v7 + v1 v6 + v2 v5 = s
+    pairs = np.bincount(np.outer(u, u).ravel() % q, minlength=q)
+    conv = pairs[np.subtract.outer(u, u) % q]
+    return int((conv @ conv @ pairs)[(rho - u * u) % q].sum())
 
 
 def is_square_mod(rho, q):
@@ -372,7 +367,7 @@ class FieldSetup:
     that fixes v0 and preserves J preserves v0^perp, and v_rho lies in
     it.  Each BFS generator is also tested on V0 directly; one that
     leaves V0 is left out of every BFS and makes orbit-inside-norm-sphere
-    FAIL.  ORBIT_CAP bounds the step tables together.
+    FAIL.  ORBIT_CAP bounds the step tables and one map together.
     """
 
     def __init__(self, q):
@@ -384,8 +379,7 @@ class FieldSetup:
         # each parabolic generator only see columns 7, 8 and the predicate
         # is P-stable
         below = np.subtract.outer(PARABOLIC_BLOCKS, PARABOLIC_BLOCKS) > 0
-        parabolic = np.stack(group_generators(q, "parabolic"))
-        self.p_stable = not parabolic[:, below].any()
+        self.p_stable = not np.stack(_parabolic(full, q))[:, below].any()
 
         bfs = bfs_generators(q)
         self.parabolic_gens = [g for g in bfs if _on_v0(g, q)[1]]
@@ -423,29 +417,31 @@ def double_coset_check(q, rho, setup=None):
     gens, steps, leaving = setup.parabolic_gens, setup.parabolic_steps, setup.leaving
     two_rho = 2 * rho % q
 
-    def survey(orb, zero_part):
-        """(size, whether every key is on the zero_part side of the
-        predicate, whether every key has norm 2*rho) of an H_P map."""
-        on_side = on_sphere = True
-        for lo in range(0, len(orb.seen), _CHUNK):
-            keys = np.flatnonzero(orb.seen[lo:lo + _CHUNK]) + lo
-            on_side &= bool(np.all((keys % (q * q) == 0) == zero_part))
-            on_sphere &= bool(np.all(_key_norms(keys, q) == two_rho))
-        return len(orb), on_side, on_sphere
+    def survey(start, zero_part):
+        """(the size of the H_P map of start, whether every key is on the
+        zero_part side of the predicate, whether every key has norm 2*rho,
+        the map), each key tested in its block as the BFS expands it."""
+        holds = [True, True]
 
-    # each map is surveyed and dropped before the next BFS but one: the
-    # part-0 map stays for the comparison with its reversed-order BFS
+        def visit(keys):
+            # key % q^2 == 0, as keys // q^2 * q^2 == keys
+            holds[0] &= bool(((keys // (q * q) * (q * q) == keys) == zero_part).all())
+            holds[1] &= bool((_key_norms(keys, q) == two_rho).all())
+
+        orb = orbit(start, gens, q, steps=steps, visit=visit)
+        return len(orb), *holds, orb.seen
+
+    # the part-0 map stays for the comparison with its reversed-order BFS
     v_rho = np.array([0, 0, 1, 0, 0, rho % q, 0, 0], dtype=np.int64)
-    orb0 = orbit(v_rho, gens, q, steps=steps)
-    size0, side0, norm0 = survey(orb0, True)
+    size0, side0, norm0, seen0 = survey(v_rho, True)
     order_independent = _same_map(
-        orbit(v_rho, gens[::-1], q, steps=steps[::-1]).seen, orb0.seen
+        orbit(v_rho, gens[::-1], q, steps=steps[::-1]).seen, seen0
     )
-    del orb0
+    del seen0
     # part 1 starts at x_j(1) v_rho = (0, 0, 1, 0, 0, rho, 0, -1), a point
     # of O with v7 != 0
     w1 = one_param_mod("j", 1, q) @ v_rho % q
-    size1, side1, norm1 = survey(orbit(w1, gens, q, steps=steps), False)
+    size1, side1, norm1, _ = survey(w1, False)
 
     size = size0 + size1
     sphere = sphere_count(q, rho % q)

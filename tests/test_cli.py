@@ -91,6 +91,41 @@ def test_only_the_orbit_suite_loads_numpy(argv, code, loads_numpy):
     assert proc.stdout == f"False\n{code} {loads_numpy}\n", proc.stderr
 
 
+# cli.main with numpy hidden: a None entry in sys.modules makes both
+# `import numpy` and importlib.util.find_spec("numpy") fail as if it were
+# not installed
+MAIN_WITHOUT_NUMPY = """
+import contextlib, io, sys
+sys.modules["numpy"] = None
+from g2adjoint import cli
+ran = []
+for name, suite in cli.SUITES.items():
+    cli.SUITES[name] = lambda args, name=name, suite=suite: (
+        ran.append(name) or suite(args)
+    )
+try:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(code, ran)
+"""
+
+
+@pytest.mark.parametrize("suite", ["orbits", "all"])
+def test_a_missing_numpy_is_a_usage_error(suite):
+    # refused before any suite runs, with one line that names numpy
+    proc = fresh_python("-c", MAIN_WITHOUT_NUMPY, "verify", suite)
+    assert proc.stdout == "2 []\n", proc.stderr
+    assert proc.stderr.startswith(f"usage: g2adjoint verify {suite} ")
+    assert proc.stderr.splitlines()[-1].endswith(
+        "error: the orbit suite needs numpy, which is not installed"
+    )
+    # a suite that does not need numpy still runs
+    proc = fresh_python("-c", MAIN_WITHOUT_NUMPY, "verify", "lie")
+    assert proc.stdout == "0 ['lie']\n", proc.stderr
+
+
 def test_the_package_never_loads_fractions():
     # the exact kernel works over the integers
     proc = fresh_python(
@@ -141,7 +176,7 @@ def test_unknown_flag_exits_2():
         ["verify", "orbits", "--q", "4"],
         ["verify", "orbits", "--q", "3"],
         ["verify", "orbits", "--rho", "0"],
-        ["verify", "orbits", "--q", "23"],
+        ["verify", "orbits", "--q", "29"],
         ["verify", "all", "--q", "7", "--rho", "14"],
         ["verify", "lie", "--out", "/nonexistent/dir/x.json"],
         ["verify", "lie", "--out", ""],

@@ -10,12 +10,22 @@ from hypothesis import strategies as st
 
 from g2adjoint import fields
 from g2adjoint.algebra import LaurentPoly
-from g2adjoint.g2model import ROOT_EXP, ROOT_PARAMS, one_param, root_exp
+from g2adjoint.g2model import (
+    PARABOLIC_PARAMS,
+    ROOT_EXP,
+    ROOT_PARAMS,
+    SIMPLE_PARAMS,
+    one_param,
+    root_exp,
+)
 from g2adjoint.orbits import (
     _V0,
     FieldSetup,
     _key_norms,
+    _parabolic,
+    _pull_back,
     _steps,
+    _trilinear_dense,
     bfs_generators,
     companion_rho,
     coroot_mod,
@@ -83,9 +93,35 @@ def test_generator_counts():
     assert len(par) == 7 * 4 + 2 * 3
 
 
+def test_parabolic_generators_are_picked_by_their_roots():
+    # P's generators are picked out of the full list by position; built
+    # again root by root, they are the same matrices
+    for q in (5, 7):
+        picked = _parabolic(group_generators(q, "full"), q)
+        built = [one_param_mod(param, t, q) for param in PARABOLIC_PARAMS
+                 for t in range(1, q)]
+        built += [coroot_mod(param, t, q) for param in SIMPLE_PARAMS
+                  for t in range(2, q)]
+        assert sorted(g.tobytes() for g in picked) == sorted(g.tobytes() for g in built)
+
+
 def test_generators_preserve_structures():
     for q in (5, 7):
         assert generator_invariants_hold(group_generators(q, "full"), q)
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_pull_back_matches_einsum(q):
+    # the three einsum contractions the batched matmuls replaced, as an
+    # oracle, on every generator and on matrices that preserve nothing
+    t = _trilinear_dense()
+    rng = np.random.default_rng(q)
+    g = np.stack(group_generators(q, "full") + list(rng.integers(0, q, (20, 8, 8))))
+    pulled = np.einsum("lmn,gli->gimn", t, g) % q
+    pulled = np.einsum("gimn,gmj->gijn", pulled, g) % q
+    pulled = np.einsum("gijn,gnk->gijk", pulled, g) % q
+    assert np.array_equal(_pull_back(g, q), pulled)
+    assert not generator_invariants_hold(list(g[-20:]), q)
 
 
 def _vectors(keys, p):
@@ -97,17 +133,40 @@ def _vectors(keys, p):
     return out
 
 
+def _keys_of(orb):
+    """All keys of an OrbitMap, in order: the set bits of its bit map."""
+    return np.flatnonzero(np.unpackbits(orb.seen, bitorder="little"))
+
+
+def _flip(orb, key):
+    """Flip the bit of `key` in an OrbitMap, leaving its size as it is."""
+    orb.seen[key >> 3] ^= np.uint8(1 << (key & 7))
+
+
 def _vectors_of(orb, q):
     """All vectors of an OrbitMap, in key order."""
-    return _vectors(np.flatnonzero(orb.seen), q)
+    return _vectors(_keys_of(orb), q)
 
 
 def test_orbit_under_identity_is_singleton():
     eye = np.eye(8, dtype=np.int64)
     start = np.array([0, 0, 1, 0, 0, 2, 0, 0])
     out = orbit(start, [eye], 5)
-    assert len(out) == 1 and np.count_nonzero(out.seen) == 1
+    assert len(out) == 1 and len(_keys_of(out)) == 1
     assert np.array_equal(_vectors_of(out, 5), [start])
+
+
+@pytest.mark.parametrize("rho", [2, 4], ids=["non-square", "square"])
+def test_visit_sees_every_key_once(rho):
+    # the blocks the BFS hands to visit, the start's first, hold every key
+    # of the map once, as uint32
+    q = 5
+    blocks = []
+    out = orbit(_part1_start(rho, q), bfs_generators(q), q, visit=blocks.append)
+    assert all(block.dtype == np.uint32 for block in blocks)
+    assert list(blocks[0]) == [_key(_part1_start(rho, q), q)]
+    keys = np.sort(np.concatenate(blocks))
+    assert np.array_equal(keys, _keys_of(out)) and len(keys) == len(out)
 
 
 def test_orbit_cap_is_enforced(monkeypatch):
@@ -124,7 +183,7 @@ def test_a_non_injective_generator_does_not_inflate_the_size():
     g[7, 7] = 0
     g[0, 7] = 1
     out = orbit(_v_rho(2, 5), _g2_bfs_generators(5) + [g], 5)
-    assert len(out) == np.count_nonzero(out.seen) == 5 ** 7
+    assert len(out) == len(_keys_of(out)) == 5 ** 7
 
 
 def test_tables_over_cap_are_refused_before_any_is_built(monkeypatch):
@@ -132,9 +191,11 @@ def test_tables_over_cap_are_refused_before_any_is_built(monkeypatch):
 
     gens = group_generators(5, "full")
     table_bytes = sum(hi.nbytes + lo.nbytes for _, hi, _, lo in _steps(gens, 5))
-    # under this cap the q^7-byte map fits and the tables do not
-    assert table_bytes > 5 ** 7
-    monkeypatch.setattr(fields, "ORBIT_CAP", table_bytes)
+    # the q^7-bit map and the tables fit under this cap, and not under one
+    # byte less, where the map alone still fits
+    map_bytes = -(-5 ** 7 // 8)
+    assert table_bytes > 1
+    monkeypatch.setattr(fields, "ORBIT_CAP", map_bytes + table_bytes)
     assert len(_steps(gens, 5)) == len(gens)
 
     def refuse(*args):
@@ -143,7 +204,7 @@ def test_tables_over_cap_are_refused_before_any_is_built(monkeypatch):
     monkeypatch.setattr(orbits, "_table", refuse)
     with pytest.raises(AssertionError):
         orbit(_v_rho(2, 5), gens, 5)
-    monkeypatch.setattr(fields, "ORBIT_CAP", table_bytes - 1)
+    monkeypatch.setattr(fields, "ORBIT_CAP", map_bytes + table_bytes - 1)
     with pytest.raises(RuntimeError, match="tables of"):
         orbit(_v_rho(2, 5), gens, 5)
 
@@ -270,26 +331,32 @@ def test_double_coset_check_passes_for_every_rho(q):
 
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
-@given(st.sampled_from([5, 7, 17]), st.data())
+@given(st.sampled_from([5, 7, 17, 23]), st.data())
 def test_key_norms_match_decoded_vectors(q, data):
-    # keys 0 and q^7 - 1 always: at q = 17 the last is the largest key
-    # ORBIT_CAP admits, and it must survive the int32 digit split
+    # keys 0 and q^7 - 1 always: at q = 23 the last is the largest key
+    # ORBIT_CAP admits, and it must survive the uint32 digit split
     drawn = data.draw(st.lists(st.integers(0, q ** 7 - 1), max_size=50))
-    keys = np.array([0, q ** 7 - 1] + drawn, dtype=np.int64)
+    keys = np.array([0, q ** 7 - 1] + drawn, dtype=np.uint32)
     vectors = _vectors(keys, q)
     expected = (vectors * vectors[:, ::-1]).sum(axis=1) % q
     assert np.array_equal(_key_norms(keys, q), expected)
 
 
-def test_key_norms_refuse_keys_over_int32():
-    # 23^7 - 1 > 2^31 - 1: the int32 digit split would wrap
-    with pytest.raises(ValueError, match="int32"):
-        _key_norms(np.array([0, 1], dtype=np.int64), 23)
+def test_key_norms_split_the_largest_q23_key():
+    # 23^7 - 1 > 2^31 - 1 has every digit 22: its norm is
+    # 2 (3 * 22^2 + 22^2) = 8 * 22^2 = 8 mod 23, as a uint32 key
+    key = np.array([23 ** 7 - 1], dtype=np.uint32)
+    assert key[0] > np.iinfo(np.int32).max
+    assert list(_key_norms(key, 23)) == [8]
+    # keys below 29^7 do not fit in uint32
+    with pytest.raises(ValueError, match="uint32"):
+        _key_norms(np.array([0, 1], dtype=np.uint32), 29)
 
 
 @pytest.mark.parametrize("which", ["full", "parabolic"])
 @pytest.mark.parametrize(
-    "q, source", [(q, "bfs") for q in (5, 7, 13, 17)] + [(5, "group"), (7, "group")]
+    "q, source",
+    [(q, "bfs") for q in (5, 7, 13, 17, 19)] + [(5, "group"), (7, "group")],
 )
 @settings(max_examples=5, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
@@ -299,7 +366,7 @@ def test_step_tables_match_the_matrix_product(q, source, which, data):
     gens = BFS_SETS[which](q) if source == "bfs" else group_generators(q, which)
     keys = np.array(
         data.draw(st.lists(st.integers(0, q ** 7 - 1), min_size=1, max_size=100)),
-        dtype=np.int64,
+        dtype=np.uint32,
     )
     pows = q ** np.arange(6, -1, -1)
     vectors = _vectors(keys, q)
@@ -365,17 +432,19 @@ def test_the_two_parabolic_orbits_make_up_the_g2_orbit(q):
 def test_map_over_cap_is_refused_before_any_bfs(monkeypatch):
     from g2adjoint import orbits
 
-    # q=5: the occupancy map of V0 has 5^7 = 78125 bytes
+    # q=5: the bit map of V0 has 5^7 bits, 9766 bytes; the check needs
+    # room for it and the step tables of its FieldSetup
+    tables = sum(hi.nbytes + lo.nbytes for _, hi, _, lo in FieldSetup(5).parabolic_steps)
     monkeypatch.setattr(orbits, "orbit", None)
     with pytest.raises(ValueError, match="cap of"):
-        double_coset_check(23, 2)
+        double_coset_check(29, 2)
     with pytest.raises(ValueError, match="cap of"):
-        verify_orbits(23, 2)
-    monkeypatch.setattr(fields, "ORBIT_CAP", 78124)
-    with pytest.raises(ValueError, match="cap of 78124"):
+        verify_orbits(29, 2)
+    monkeypatch.setattr(fields, "ORBIT_CAP", 9765)
+    with pytest.raises(ValueError, match="cap of 9765"):
         double_coset_check(5, 2)
     monkeypatch.undo()
-    monkeypatch.setattr(fields, "ORBIT_CAP", 78125)
+    monkeypatch.setattr(fields, "ORBIT_CAP", 9766 + tables)
     assert double_coset_check(5, 2).passed
 
 
@@ -412,19 +481,35 @@ def test_generator_leaving_v0_fails_the_report(monkeypatch):
     assert failed[0].counterexample == "1 BFS generators leave V0"
 
 
+def _swap_into_first_block(real, key, part):
+    """orbits.orbit with `key` swapped for the last key of the first block
+    that each BFS of part `part` (0: v3 = 0, 1: v3 != 0) hands to its
+    visit: the map and its size stay, and only the survey sees the key."""
+
+    def orbit_swapping(start, gens, p, steps=None, visit=None):
+        if visit is None or bool(start[7] % p) != part:
+            return real(start, gens, p, steps, visit)
+        first = True
+
+        def visit_swapped(keys):
+            nonlocal first
+            if first:
+                keys = keys.copy()
+                keys[-1] = key
+                first = False
+            visit(keys)
+
+        return real(start, gens, p, steps, visit_swapped)
+
+    return orbit_swapping
+
+
 def _orbit_off_sphere(real):
-    """orbits.orbit with key 1 (v7 = 1, norm 0 != 2*rho) swapped into each
-    map of the v3 != 0 part for one of its keys: the size and the side of
-    the map stay, and only the key-space norm test can see it."""
-
-    def orbit_off_sphere(start, gens, p, steps=None):
-        out = real(start, gens, p, steps)
-        if start[7] % p:
-            out.seen[np.flatnonzero(out.seen)[-1]] = False
-            out.seen[1] = True
-        return out
-
-    return orbit_off_sphere
+    """orbits.orbit with key 1 (v7 = 1, norm 0 != 2*rho) swapped into the
+    survey of each map of the v3 != 0 part for one of its keys: the size
+    and the side of the map stay, and only the key-space norm test can see
+    it."""
+    return _swap_into_first_block(real, 1, 1)
 
 
 def test_g2_orbit_off_the_sphere_fails_the_report(monkeypatch):
@@ -442,22 +527,22 @@ def test_g2_orbit_off_the_sphere_fails_the_report(monkeypatch):
 def test_a_part_1_key_in_the_part_0_map_fails_the_report(monkeypatch, swapped):
     from g2adjoint import orbits
 
-    # the key of x_j(1) v_rho, a point of the sphere with v7 != 0, joins
-    # both maps of the v3 = 0 part (so they still agree).  Added, it
-    # breaks the size sum; swapped for a key of the part, only the side
-    # test can see it
+    # the key of x_j(1) v_rho, a point of the sphere with v7 != 0, crosses
+    # into the v3 = 0 part.  Added to both of its maps (so they still
+    # agree), it breaks the size sum; swapped for a key of the part in the
+    # survey, with both maps as they are, only the side test can see it
     real = orbits.orbit
     crossing = _key(_part1_start(2, 5), 5)
 
-    def orbit_across(start, gens, p, steps=None):
-        out = real(start, gens, p, steps)
+    def orbit_across(start, gens, p, steps=None, visit=None):
+        out = real(start, gens, p, steps, visit)
         if not start[7] % p:
-            if swapped:
-                out.seen[np.flatnonzero(out.seen)[-1]] = False
-            out.seen[crossing] = True
-            out.size = int(np.count_nonzero(out.seen))
+            _flip(out, crossing)
+            out.size += 1
         return out
 
+    if swapped:
+        orbit_across = _swap_into_first_block(real, crossing, 0)
     monkeypatch.setattr(orbits, "orbit", orbit_across)
     report = double_coset_check(5, 2)
     failed = {c.name for c in report.checks if c.status == "fail"}
@@ -473,10 +558,10 @@ def test_a_key_lost_in_reversed_order_fails_the_report(monkeypatch):
     real = orbits.orbit
     first = bfs_generators(5)[0]
 
-    def orbit_losing(start, gens, p, steps=None):
-        out = real(start, gens, p, steps)
+    def orbit_losing(start, gens, p, steps=None, visit=None):
+        out = real(start, gens, p, steps, visit)
         if not np.array_equal(gens[0], first):
-            out.seen[np.flatnonzero(out.seen)[-1]] = False
+            _flip(out, _keys_of(out)[-1])
             out.size -= 1
         return out
 
@@ -532,9 +617,10 @@ def test_verify_orbits_keeps_no_state_between_calls(monkeypatch):
 def test_verify_orbits_builds_the_field_set_up_once(monkeypatch):
     from g2adjoint import orbits
 
-    # both classes share one set-up: each generator list and its verdict
-    # once, one pair of step tables per H_P generator, and the 6 BFS runs
-    # of two classes, each through orbits.orbit
+    # both classes share one set-up: the full generator list and its
+    # verdict once, P's generators picked out of it, one pair of step
+    # tables per H_P generator, and the 6 BFS runs of two classes, each
+    # through orbits.orbit
     calls = Counter()
 
     def count(name, key):
@@ -551,6 +637,7 @@ def test_verify_orbits_builds_the_field_set_up_once(monkeypatch):
     count("_table", lambda args: "table")
     count("orbit", lambda args: "orbit")
     assert verify_orbits(5, 2).passed
-    assert calls["full"] == calls["parabolic"] == calls["invariants"] == 1
+    assert calls["full"] == calls["invariants"] == 1
+    assert calls["parabolic"] == 0
     assert calls["table"] <= 4
     assert calls["orbit"] == 6
