@@ -374,6 +374,23 @@ def _accumulate(terms, exps, coeff):
         del terms[exps]
 
 
+def poly_sum(polys):
+    """The sum of an iterable of LaurentPolys and ints (zero when empty),
+    with every term added into one map, no partial sum copied per addend."""
+    names, out = (), {}
+    for p in polys:
+        if not isinstance(p, LaurentPoly):
+            p = LaurentPoly.constant(p)
+        if p.variables != names and not set(names).issuperset(p.variables):
+            # a new name: re-align the sum so far with the wider names
+            partial = LaurentPoly._from_normal(*_prune(names, out))
+            names = tuple(sorted(set(names).union(p.variables)))
+            out = _remap(partial, names)
+        for exps, coeff in _remap(p, names).items():
+            _accumulate(out, exps, coeff)
+    return LaurentPoly._from_normal(*_prune(names, out))
+
+
 def geometric_sum(name, lo, hi):
     """Sum of name^j for lo <= j <= hi, with the reflection convention
     sum_{lo}^{hi} = -sum_{hi+1}^{lo-1} when hi < lo - 1 (and 0 when
@@ -473,11 +490,9 @@ class TruncatedSeries:
         return slc * LaurentPoly.variable(self.var, -degree)
 
     def inverse(self):
-        """Multiplicative inverse, via the graded convolution recurrence.
-
-        Requires the degree-0 part to be a Laurent unit in the exact
-        variables.
-        """
+        """Multiplicative inverse by the graded convolution recurrence, each
+        slice one poly_sum of products within the bound; the degree-0 part
+        must be a Laurent unit in the exact variables."""
         parts = self.slices()
         c0 = parts.get(0, LaurentPoly.zero())
         if not c0.is_unit():
@@ -488,15 +503,8 @@ class TruncatedSeries:
         norm = {d: c0inv * p for d, p in parts.items() if d > 0}
         inv = {0: LaurentPoly.one()}
         for n in range(1, self.bound + 1):
-            acc = LaurentPoly.zero()
-            for j, fj in norm.items():
-                if j <= n:
-                    acc = acc + fj * inv[n - j]
-            inv[n] = -acc
-        total = LaurentPoly.zero()
-        for p in inv.values():
-            total = total + p
-        return TruncatedSeries(c0inv * total, self.var, self.bound)
+            inv[n] = -poly_sum(fj * inv[n - j] for j, fj in norm.items() if j <= n)
+        return TruncatedSeries(c0inv * poly_sum(inv.values()), self.var, self.bound)
 
     def __repr__(self):
         return f"TruncatedSeries({self.poly}, {self.var!r}, {self.bound})"
@@ -514,8 +522,8 @@ def series_expand(numerator, denominator, var, bound):
     """Power-series expansion of numerator/denominator in `var`, truncated
     above degree `bound`; the denominator's degree-0 part must be a unit.
 
-    The numerator is multiplied by the inverse series and the product is
-    truncated again.
+    Each numerator slice of degree d meets only the inverse truncated above
+    bound - d, and poly_sum adds the products: no term exceeds the bound.
     """
     num = TruncatedSeries(numerator, var, bound)
     try:
@@ -524,7 +532,10 @@ def series_expand(numerator, denominator, var, bound):
         raise NonInvertibleError(
             f"cannot expand 1/({denominator}): {exc}"
         ) from None
-    return TruncatedSeries(num.poly * inv.poly, var, bound)
+    return TruncatedSeries(poly_sum(
+        part * TruncatedSeries(inv.poly, var, bound - d).poly
+        for d, part in num.slices().items()
+    ), var, bound)
 
 
 class RingMatrix:

@@ -24,6 +24,7 @@ from .algebra import (
     RingMatrix,
     equal_mod_inverses,
     is_zero,
+    poly_sum,
     sym,
 )
 from .report import VerificationReport
@@ -79,19 +80,11 @@ TRILINEAR = _build_trilinear()
 
 def trilinear(u, v, w):
     """T(u, v, w) for 8-component vectors of scalars."""
-    acc = LaurentPoly.zero()
-    for (i, j, k), coeff in TRILINEAR.items():
-        a = u[i]
-        if is_zero(a):
-            continue
-        b = v[j]
-        if is_zero(b):
-            continue
-        c = w[k]
-        if is_zero(c):
-            continue
-        acc = acc + coeff * (a * b * c)
-    return acc
+    return poly_sum(
+        coeff * (u[i] * v[j] * w[k])
+        for (i, j, k), coeff in TRILINEAR.items()
+        if not (is_zero(u[i]) or is_zero(v[j]) or is_zero(w[k]))
+    )
 
 
 def g2_element(T1=0, T2=0, a=0, b=0, c=0, d=0, e=0, f=0, g=0, h=0, i=0, j=0,

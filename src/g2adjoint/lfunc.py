@@ -22,6 +22,7 @@ from .algebra import (
     RingMatrix,
     TruncatedSeries,
     geometric_sum,
+    poly_sum,
     series_expand,
     sym,
 )
@@ -92,10 +93,10 @@ def inner_integral_shell(vc):
     q_inv = sym("q", -1)
     x = sym("x")
     if vc >= 0:
-        total = LaurentPoly.one()
-        for k in range(1, vc + 1):
-            total = total + (x ** k * q_inv ** k) * (q ** k - q ** (k - 1))
-        return total - (x ** (vc + 1) * q_inv ** (vc + 1)) * q ** vc
+        shells = poly_sum(
+            (x * q_inv) ** k * (q ** k - q ** (k - 1)) for k in range(1, vc + 1)
+        )
+        return 1 + shells - (x * q_inv) ** (vc + 1) * q ** vc
     return 1 + (1 - q_inv) * geometric_sum("x", 1, vc) - q_inv * x ** (vc + 1)
 
 
@@ -110,13 +111,11 @@ def poincare_oracle(bound):
     report = VerificationReport("poincare", {"degree": bound})
     t1, t2, x = sym("T1"), sym("T2"), sym("X")
     base = schur_char(1, 1)  # the adjoint character
-    lhs = LaurentPoly.zero()
-    table = {}
-    for k, char in enumerate(sym_power_char(base, bound)):
-        mults = schur_expand(char)
-        table[k] = mults
-        for (m1, m2), mult in sorted(mults.items()):
-            lhs = lhs + mult * t1 ** m1 * t2 ** m2 * x ** k
+    table = dict(enumerate(map(schur_expand, sym_power_char(base, bound))))
+    lhs = poly_sum(
+        mult * t1 ** m1 * t2 ** m2 * x ** k
+        for k, mults in table.items() for (m1, m2), mult in mults.items()
+    )
     num, den = _split_closed_form()
     rhs = series_expand(num, den * (1 - x ** 2) * (1 - x ** 3), "X", bound)
     mismatch = _first_series_mismatch(TruncatedSeries(lhs, "X", bound), rhs)
@@ -167,13 +166,10 @@ def lattice_sum(xname, bound, pairs, weight):
     """Sum over (m1, m2) in `pairs` of x^max (1 + x + ... + x^min) times
     weight(m1, m2), truncated at x-degree `bound`; `weight` is only called
     for pairs that contribute below the bound."""
-    acc = LaurentPoly.zero()
-    for m1, m2 in pairs:
-        lo, hi = min(m1, m2), max(m1, m2)
-        if hi <= bound:
-            xpart = geometric_sum(xname, hi, min(hi + lo, bound))
-            acc = acc + xpart * weight(m1, m2)
-    return acc
+    return poly_sum(
+        geometric_sum(xname, max(m1, m2), min(m1 + m2, bound)) * weight(m1, m2)
+        for m1, m2 in pairs if max(m1, m2) <= bound
+    )
 
 
 def _congruent_pairs(bound):
@@ -212,13 +208,12 @@ def nonsplit_identity_check(bound):
     """The non-split triple identity: double sum, closed form, single sum."""
     report = VerificationReport("nonsplit-identity", {"degree": bound})
     t, x = sym("T"), sym("X")
-    double_sum = LaurentPoly.zero()
-    for k2 in range(bound // 2 + 1):
-        for k1 in range(bound - 2 * k2 + 1):
-            for i in range(min(k1, k2) + 1):
-                double_sum = double_sum + LaurentPoly.monomial(
-                    1, {"X": k1 + 2 * k2, "T": k1 + k2 - 2 * i}
-                )
+    double_sum = poly_sum(
+        LaurentPoly.monomial(1, {"X": k1 + 2 * k2, "T": k1 + k2 - 2 * i})
+        for k2 in range(bound // 2 + 1)
+        for k1 in range(bound - 2 * k2 + 1)
+        for i in range(min(k1, k2) + 1)
+    )
     a = TruncatedSeries(double_sum, "X", bound)
     b = series_expand(1, (1 - x ** 3) * (1 - t * x) * (1 - t * x ** 2), "X", bound)
     single = lattice_sum(

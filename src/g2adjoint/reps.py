@@ -19,6 +19,7 @@ from .algebra import (
     LaurentPoly,
     RingMatrix,
     is_zero,
+    poly_sum,
     sym,
 )
 
@@ -175,10 +176,7 @@ def sl2_char(k, z):
     """z^k + z^(k-2) + ... + z^(-k); z must be a Laurent unit."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    acc = LaurentPoly.zero()
-    for j in range(k + 1):
-        acc = acc + z ** (k - 2 * j)
-    return acc
+    return poly_sum(z ** (k - 2 * j) for j in range(k + 1))
 
 
 def sym_power_char(base_char, k):

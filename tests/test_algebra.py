@@ -1,5 +1,7 @@
 """Kernel tests: Laurent arithmetic, truncated series, exact determinants."""
 
+import functools
+import operator
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,7 @@ from g2adjoint.algebra import (
     equal_mod_inverses,
     geometric_sum,
     is_zero,
+    poly_sum,
     series_expand,
 )
 
@@ -349,6 +352,70 @@ def test_series_inverse_with_unit_exact_coefficient():
     s = TruncatedSeries(1 - q ** -1 * x, "x", 5).inverse()
     expected = sum((v("q", -k) * x ** k for k in range(6)), LaurentPoly.zero())
     assert s.poly == expected
+
+
+def test_series_expand_forms_no_product_above_its_bound(monkeypatch):
+    # the numerator has slices of degrees 0, 1 and 3, and the unbounded
+    # product num * inverse would reach degree 2 * bound
+    x, t = v("X"), v("T")
+    num, den, bound = 1 + t * x + x ** 3, (1 - x) * (1 - t * x ** 2), 6
+    expected = TruncatedSeries(
+        num * TruncatedSeries(den, "X", bound).inverse().poly, "X", bound
+    )
+    mul = LaurentPoly.__mul__
+    degrees = []
+
+    def spy(self, other):
+        product = mul(self, other)
+        if "X" in product.variables:
+            i = product.variables.index("X")
+            degrees.append(max(e[i] for e in product.terms))
+        return product
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", spy)
+    monkeypatch.setattr(LaurentPoly, "__rmul__", spy)
+    s = series_expand(num, den, "X", bound)
+    monkeypatch.undo()
+    assert s == expected
+    assert degrees and max(degrees) <= bound
+
+
+@KERNEL
+@given(st.lists(st.one_of(polys(), scalars), max_size=6))
+def test_poly_sum_matches_repeated_addition(items):
+    # addends over different variable sets, with plain ints among them
+    total = poly_sum(items)
+    assert_normal(total)
+    assert total == functools.reduce(operator.add, items, LaurentPoly.zero())
+
+
+def test_poly_sum_of_nothing_is_zero():
+    total = poly_sum([])
+    assert total == 0 and total.variables == ()
+    assert poly_sum(iter(())).is_zero()
+
+
+def test_poly_sum_prunes_cancelled_variables():
+    a, b = v("a"), v("b")
+    zero = poly_sum([a * b, 2, -(a * b), -2])
+    assert_normal(zero)
+    assert zero.is_zero() and zero.variables == ()
+    # b is cancelled after a wider variable set was formed
+    smaller = poly_sum([a, b, v("c", -1), -b, 3])
+    assert_normal(smaller)
+    assert smaller == a + v("c", -1) + 3 and smaller.variables == ("a", "c")
+
+
+def test_poly_sum_never_calls_the_binary_add(monkeypatch):
+    def refuse(self, other):
+        raise AssertionError("LaurentPoly.__add__ called")
+
+    items = [v("a"), 2, v("b", -1) * v("a"), -v("a"), LaurentPoly.zero()]
+    monkeypatch.setattr(LaurentPoly, "__add__", refuse)
+    monkeypatch.setattr(LaurentPoly, "__radd__", refuse)
+    total = poly_sum(items)
+    monkeypatch.undo()
+    assert total == v("b", -1) * v("a") + 2
 
 
 def test_series_coefficient_extraction():
