@@ -518,24 +518,27 @@ def _degree_in(variables, var):
     return lambda exps: 0
 
 
+def series_times(poly, series):
+    """poly times `series`, truncated like it: each slice of `poly` of
+    degree d meets only `series` truncated above bound - d, and poly_sum
+    adds the products, so no term exceeds the bound."""
+    var, bound = series.var, series.bound
+    return TruncatedSeries(poly_sum(
+        part * TruncatedSeries(series.poly, var, bound - d).poly
+        for d, part in TruncatedSeries(poly, var, bound).slices().items()
+    ), var, bound)
+
+
 def series_expand(numerator, denominator, var, bound):
     """Power-series expansion of numerator/denominator in `var`, truncated
-    above degree `bound`; the denominator's degree-0 part must be a unit.
-
-    Each numerator slice of degree d meets only the inverse truncated above
-    bound - d, and poly_sum adds the products: no term exceeds the bound.
-    """
-    num = TruncatedSeries(numerator, var, bound)
+    above degree `bound`; the denominator's degree-0 part must be a unit."""
     try:
         inv = TruncatedSeries(denominator, var, bound).inverse()
     except NonInvertibleError as exc:
         raise NonInvertibleError(
             f"cannot expand 1/({denominator}): {exc}"
         ) from None
-    return TruncatedSeries(poly_sum(
-        part * TruncatedSeries(inv.poly, var, bound - d).poly
-        for d, part in num.slices().items()
-    ), var, bound)
+    return series_times(numerator, inv)
 
 
 class RingMatrix:

@@ -8,9 +8,10 @@ weight variables T, T1, T2.
 Everything is certified coefficient-by-coefficient: determinant forms
 against displayed factor products, lattice sums against closed forms, the
 symmetric-algebra decomposition against the six-factor generating
-function, and finally the full unramified integral against
-L(3s-1)/zeta(3s)zeta(6s-2)zeta(9s-3) for both candidate readings of the
-third zeta argument.
+function, and finally the full unramified integral (each lattice term
+built from g2model.modulus_characters, inner_integral_closed and the
+Casselman-Shalika values schur_char, sl2_char) against
+L(3s-1)/zeta(3s)zeta(6s-2)zeta(9s-3) for both candidate zeta triples.
 """
 
 from __future__ import annotations
@@ -24,8 +25,10 @@ from .algebra import (
     geometric_sum,
     poly_sum,
     series_expand,
+    series_times,
     sym,
 )
+from .g2model import modulus_characters
 from .report import VerificationReport, merge_reports
 from .reps import (
     NonSplitClass,
@@ -246,36 +249,45 @@ def nonsplit_identity_check(bound):
 
 
 def unramified_lhs(satake, bound):
-    """The fully reduced unramified integral as a series in x:
-    (1 - q^-1 x) times the Casselman-Shalika lattice sum."""
-    q_inv = sym("q", -1)
-    x = sym("x")
+    """The fully reduced unramified integral as a series in x.  With (e_P,
+    e_alpha2, e_B) = modulus_characters(m1, m2), the term at (m1, m2) is
+    x^(-e_P) (1 + ... + x^(v(c))) at v(c) = -e_alpha2, times q^(e_B + m1 +
+    m2) (e_B cancels delta_B^(1/2)), times the Casselman-Shalika value:
+    schur_char(m1, m2) for a split class, sl2_char(m, mu^2) at (m, m) for
+    a non-split one.  inner_integral_closed(0) = 1 - q^-1 x multiplies the
+    sum once."""
     if isinstance(satake, SplitClass):
         values = {"alpha1": satake.alpha1, "alpha2": satake.alpha2}
-        acc = lattice_sum(
-            "x", bound, _congruent_pairs(bound),
-            lambda m1, m2: schur_char(m1, m2).subs(values),
+        points = (
+            (m1, m2, schur_char(m1, m2).subs(values))
+            for m1, m2 in _congruent_pairs(bound)
         )
     elif isinstance(satake, NonSplitClass):
         z = satake.mu * satake.mu
-        acc = lattice_sum(
-            "x", bound, [(m, m) for m in range(bound + 1)],
-            lambda m, _: sl2_char(m, z),
-        )
+        points = ((m, m, sl2_char(m, z)) for m in range(bound + 1))
     else:
         raise TypeError(f"not a Satake class: {satake!r}")
-    return TruncatedSeries((1 - q_inv * x) * acc, "x", bound)
+
+    def term(m1, m2, spherical):
+        e_p, e_alpha2, e_b = modulus_characters(m1, m2)
+        shell = geometric_sum("x", -e_p, min(-e_p - e_alpha2, bound))
+        return sym("q", e_b + m1 + m2) * shell * spherical
+    lattice = poly_sum(term(*point) for point in points)
+    return TruncatedSeries(inner_integral_closed(0) * lattice, "x", bound)
 
 
 ZETA_TRIPLE_DERIVED = ((3, 0), (6, -2), (9, -3))
 ZETA_TRIPLE_PRINTED = ((3, 0), (6, -2), (3, -9))
 
 
-def unramified_rhs(satake, zeta_triple, bound):
-    """L(3s-1, pi, r) divided by the three zeta factors, as a series in x
-    (note q^-(3s-1) = x, so the L-factor needs no shift)."""
-    num = math.prod(zeta_factor(c1, c0) for c1, c0 in zeta_triple)
-    return series_expand(num, l_factor_denominator(satake), "x", bound)
+def unramified_rhs(satake, bound):
+    """L(3s-1, pi, r) over each candidate triple's zeta factors, as series in
+    x keyed by triple (q^-(3s-1) = x); the L-series is expanded once."""
+    l_series = TruncatedSeries(l_factor_denominator(satake), "x", bound).inverse()
+    return {
+        triple: series_times(math.prod(zeta_factor(*z) for z in triple), l_series)
+        for triple in (ZETA_TRIPLE_DERIVED, ZETA_TRIPLE_PRINTED)
+    }
 
 
 def _zeta_arg(c1, c0):
@@ -297,10 +309,10 @@ def proposition_check(case, bound):
     else:
         raise ValueError(f"unknown case {case!r}")
     lhs = unramified_lhs(satake, bound)
-    outcomes = {}
-    for triple in (ZETA_TRIPLE_DERIVED, ZETA_TRIPLE_PRINTED):
-        rhs = unramified_rhs(satake, triple, bound)
-        outcomes[triple] = _first_series_mismatch(lhs, rhs)
+    outcomes = {
+        triple: _first_series_mismatch(lhs, rhs)
+        for triple, rhs in unramified_rhs(satake, bound).items()
+    }
     derived_ok = outcomes[ZETA_TRIPLE_DERIVED] is None
     printed_ok = outcomes[ZETA_TRIPLE_PRINTED] is None
     report.check(

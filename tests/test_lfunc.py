@@ -2,13 +2,22 @@
 
 import pytest
 
-from g2adjoint.algebra import LaurentPoly, RingMatrix, TruncatedSeries, series_expand
+from g2adjoint import lfunc
+from g2adjoint.algebra import (
+    LaurentPoly,
+    RingMatrix,
+    TruncatedSeries,
+    geometric_sum,
+    series_expand,
+)
+from g2adjoint.g2model import modulus_characters
 from g2adjoint.lfunc import (
     ZETA_TRIPLE_DERIVED,
     ZETA_TRIPLE_PRINTED,
     inner_integral_closed,
     inner_integral_shell,
     l_factor_denominator,
+    lattice_sum,
     nonsplit_factor_product,
     nonsplit_identity_check,
     poincare_oracle,
@@ -21,7 +30,7 @@ from g2adjoint.lfunc import (
     verify_lfactor,
     zeta_factor,
 )
-from g2adjoint.reps import NonSplitClass, SplitClass, schur_char
+from g2adjoint.reps import NonSplitClass, SplitClass, schur_char, sl2_char
 
 
 ONE = LaurentPoly.one()
@@ -139,18 +148,134 @@ def test_unramified_lhs_low_coefficients():
 
 
 def test_unramified_rhs_low_coefficients():
-    rhs = unramified_rhs(split_trivial(), ZETA_TRIPLE_DERIVED, 3)
+    series = unramified_rhs(split_trivial(), 3)
+    rhs = series[ZETA_TRIPLE_DERIVED]
     assert rhs.coefficient(0) == 1
     q = sym("q")
     assert rhs.coefficient(1) == 8 - q ** -1
-    wrong = unramified_rhs(split_trivial(), ZETA_TRIPLE_PRINTED, 3)
+    wrong = series[ZETA_TRIPLE_PRINTED]
     assert wrong.coefficient(1) == 8 - q ** -1 - q ** 8
 
 
 def test_nonsplit_lhs_specializes_to_rhs_at_mu_one():
     lhs = unramified_lhs(NonSplitClass(ONE), 6)
-    rhs = unramified_rhs(NonSplitClass(ONE), ZETA_TRIPLE_DERIVED, 6)
+    rhs = unramified_rhs(NonSplitClass(ONE), 6)[ZETA_TRIPLE_DERIVED]
     assert lhs == rhs
+
+
+def typed_unramified_lhs(satake, bound):
+    """The oracle: (1 - q^-1 x) times the lattice sum of x^max (1 + ... +
+    x^min) times the Casselman-Shalika value, every exponent typed here."""
+    r = range(bound + 1)
+    if isinstance(satake, SplitClass):
+        values = {"alpha1": satake.alpha1, "alpha2": satake.alpha2}
+        pairs = [(m1, m2) for m1 in r for m2 in r if (m1 - m2) % 3 == 0]
+        acc = lattice_sum(
+            "x", bound, pairs, lambda m1, m2: schur_char(m1, m2).subs(values)
+        )
+    else:
+        z = satake.mu * satake.mu
+        acc = lattice_sum("x", bound, [(m, m) for m in r], lambda m, _: sl2_char(m, z))
+    return TruncatedSeries((1 - sym("q", -1) * sym("x")) * acc, "x", bound)
+
+
+def test_unramified_lhs_equals_the_typed_lattice_sum():
+    for satake in (SplitClass.symbolic(), NonSplitClass.symbolic()):
+        assert unramified_lhs(satake, 8) == typed_unramified_lhs(satake, 8)
+
+
+def test_modulus_characters_and_inner_integral_give_the_lattice_weight():
+    # x^(-e_P) times the inner integral at v(c) = -e_alpha2 is the typed
+    # weight (1 - q^-1 x) x^max (1 + ... + x^min) at every lattice point
+    prefactor = 1 - sym("q", -1) * sym("x")
+    r = range(13)
+    for m1, m2 in [(m1, m2) for m1 in r for m2 in r if (m1 - m2) % 3 == 0]:
+        e_p, e_alpha2, _ = modulus_characters(m1, m2)
+        hi, lo = max(m1, m2), min(m1, m2)
+        assert sym("x", -e_p) * inner_integral_closed(-e_alpha2) == (
+            prefactor * geometric_sum("x", hi, hi + lo)
+        ), (m1, m2)
+
+
+INTEGRAL_CHECK = "integral-equals-L-over-zeta-{3s, 6s-2, 9s-3}"
+
+
+def integral_status(case):
+    report = proposition_check(case, 4)
+    return {c.name: c.status for c in report.checks}[INTEGRAL_CHECK]
+
+
+def shifted_modulus_characters(shift):
+    def mutant(m1, m2):
+        return tuple(map(sum, zip(modulus_characters(m1, m2), shift)))
+
+    return mutant
+
+
+@pytest.mark.parametrize(
+    "shift",
+    [(-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)],
+)
+def test_shifted_modulus_character_fails_the_integral(monkeypatch, shift):
+    monkeypatch.setattr(lfunc, "modulus_characters", shifted_modulus_characters(shift))
+    for case in ("split", "nonsplit"):
+        assert integral_status(case) == "fail", case
+
+
+def test_raised_parabolic_exponent_is_refused(monkeypatch):
+    # e_P + 1 puts x^-1 at the origin, which no series may hold
+    monkeypatch.setattr(
+        lfunc, "modulus_characters", shifted_modulus_characters((1, 0, 0))
+    )
+    for case in ("split", "nonsplit"):
+        with pytest.raises(ValueError, match="negative exponent"):
+            proposition_check(case, 4)
+
+
+def test_swapped_modulus_characters_fail_the_split_integral(monkeypatch):
+    def swapped(m1, m2):
+        e_p, e_alpha2, e_b = modulus_characters(m1, m2)
+        return e_alpha2, e_p, e_b
+
+    monkeypatch.setattr(lfunc, "modulus_characters", swapped)
+    assert integral_status("split") == "fail"
+    # the non-split lattice is the diagonal, where max = min
+    assert integral_status("nonsplit") == "pass"
+
+
+@pytest.mark.parametrize(
+    "prefactor",
+    [1 - sym("q", -2) * sym("x"), 1 + sym("q", -1) * sym("x")],
+    ids=str,
+)
+def test_wrong_inner_integral_prefactor_fails_the_integral(monkeypatch, prefactor):
+    monkeypatch.setattr(
+        lfunc,
+        "inner_integral_closed",
+        lambda vc: prefactor * geometric_sum("x", 0, vc),
+    )
+    for case in ("split", "nonsplit"):
+        assert integral_status(case) == "fail", case
+
+
+def test_proposition_builds_one_l_series_per_case(monkeypatch):
+    calls = {"den": 0, "inverse": 0}
+    den, inverse = lfunc.l_factor_denominator, TruncatedSeries.inverse
+
+    def counted_den(*args, **kwargs):
+        calls["den"] += 1
+        return den(*args, **kwargs)
+
+    def counted_inverse(self):
+        calls["inverse"] += 1
+        return inverse(self)
+
+    monkeypatch.setattr(lfunc, "l_factor_denominator", counted_den)
+    monkeypatch.setattr(TruncatedSeries, "inverse", counted_inverse)
+    for case in ("split", "nonsplit"):
+        calls.update(den=0, inverse=0)
+        assert proposition_check(case, 4).passed
+        assert calls == {"den": 1, "inverse": 1}, case
 
 
 def test_proposition_quick_degrees():
