@@ -105,6 +105,10 @@ class LaurentPoly:
 
     # -- structure ---------------------------------------------------------
 
+    def __bool__(self):
+        """True unless this is the zero polynomial."""
+        return bool(self.terms)
+
     def is_zero(self):
         return not self.terms
 
@@ -145,17 +149,18 @@ class LaurentPoly:
         names = tuple(sorted(set(self.variables) | set(other.variables)))
         return names, _remap(self, names), _remap(other, names)
 
-    def _coerce(self, other):
-        if isinstance(other, LaurentPoly):
-            return other
-        if isinstance(other, int):
-            return LaurentPoly.constant(other)
-        return None
+    def _plus_int(self, k):
+        """self + k for an int k, added into the constant term: that term
+        uses no variable, so every variable keeps the term that used it."""
+        if not k:
+            return self
+        out = dict(self.terms)
+        _accumulate(out, (0,) * len(self.variables), int(k))
+        return LaurentPoly._from_normal(self.variables, out)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if not isinstance(other, LaurentPoly):
+            return self._plus_int(other) if isinstance(other, int) else NotImplemented
         names, a, b = self._align(other)
         if len(a) < len(b):
             a, b = b, a
@@ -175,32 +180,41 @@ class LaurentPoly:
         )
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if not isinstance(other, LaurentPoly):
+            return self._plus_int(-other) if isinstance(other, int) else NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, int):
             return NotImplemented
-        return other + (-self)
+        return (-self)._plus_int(other)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if not isinstance(other, LaurentPoly):
+            if not isinstance(other, int):
+                return NotImplemented
+            # the integers are a domain: a nonzero k keeps every term
+            if not other:
+                return LaurentPoly._from_normal((), {})
+            k = int(other)
+            return LaurentPoly._from_normal(
+                self.variables, {e: k * c for e, c in self.terms.items()}
+            )
         names, a, b = self._align(other)
         if len(a) > len(b):
             a, b = b, a
-        out = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                key = tuple(map(_add, e1, e2))
-                total = out.get(key)
-                out[key] = c1 * c2 if total is None else total + c1 * c2
-        # with a single term in `a` every key is hit once, so none cancels
-        if len(a) > 1:
+        if len(a) == 1:
+            # a single term shifts the other operand's exponents, so no
+            # two keys meet and no coefficient cancels
+            (e1, c1), = a.items()
+            out = {tuple(map(_add, e1, e2)): c1 * c2 for e2, c2 in b.items()}
+        else:
+            out = {}
+            for e1, c1 in a.items():
+                for e2, c2 in b.items():
+                    key = tuple(map(_add, e1, e2))
+                    total = out.get(key)
+                    out[key] = c1 * c2 if total is None else total + c1 * c2
             out = {e: c for e, c in out.items() if c}
         # a variable with only nonnegative exponents keeps its top degree,
         # the product of the operands' top coefficients; so only a zero
@@ -234,8 +248,9 @@ class LaurentPoly:
         return result
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if isinstance(other, int):
+            other = LaurentPoly.constant(other)
+        elif not isinstance(other, LaurentPoly):
             return NotImplemented
         return self.variables == other.variables and self.terms == other.terms
 
@@ -613,7 +628,7 @@ class RingMatrix:
     def scale(self, scalar):
         # a zero entry stays as it is, without a product
         return RingMatrix(
-            [[a if is_zero(a) else scalar * a for a in row] for row in self.entries]
+            [[scalar * a if a else a for a in row] for row in self.entries]
         )
 
     def __mul__(self, other):
@@ -693,7 +708,7 @@ class RingMatrix:
                         sign = -sign
                         continue
                     e = row[j]
-                    if is_zero(e):
+                    if not e:
                         continue
                     key = mask | bit
                     term = (val * e) if sign > 0 else -(val * e)
@@ -718,7 +733,7 @@ class RingMatrix:
 
 def _nonzero(entries):
     """The (index, entry) pairs of the nonzero entries, in order."""
-    return [(k, e) for k, e in enumerate(entries) if not is_zero(e)]
+    return [(k, e) for k, e in enumerate(entries) if e]
 
 
 def _dot(row, col):
@@ -734,8 +749,10 @@ def _dot(row, col):
 
 
 def is_zero(x):
-    """Zero test for any scalar: an int, a LaurentPoly or another number."""
-    return x.is_zero() if isinstance(x, LaurentPoly) else x == 0
+    """Zero test for any scalar: an int, a LaurentPoly or another number.
+    It is plain truthiness, since a LaurentPoly is false exactly when it
+    is the zero polynomial."""
+    return not x
 
 
 def sym(name, power=1):

@@ -26,7 +26,7 @@ import time
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import fields, g2model, lfunc
-from .report import merge_reports, reports_to_json
+from .report import reports_to_json
 
 DEFAULT_DEGREE = 12
 DEFAULT_Q = 5
@@ -111,18 +111,6 @@ def _check_values(args):
             args.usage_error("the orbit suite needs numpy, which is not installed")
 
 
-def _by_case(suite, case, verify, **parameters):
-    """verify(case), or for case "both" the split and non-split reports
-    merged under `suite`."""
-    if case != "both":
-        return verify(case)
-    return merge_reports(
-        suite,
-        {"case": case, **parameters},
-        [(c, verify(c)) for c in ("split", "nonsplit")],
-    )
-
-
 def _orbits(args):
     # numpy loads here, when the orbit suite starts, and at no other time
     from . import orbits
@@ -137,13 +125,8 @@ SUITES = {
     "lie": lambda args: g2model.verify_lie_models(),
     "iwasawa": lambda args: g2model.verify_iwasawa(),
     "identities": lambda args: lfunc.verify_identities(args.degree),
-    "lfactor": lambda args: _by_case(
-        "lfactor", args.case, lfunc.verify_lfactor
-    ),
-    "integral": lambda args: _by_case(
-        "integral", args.case, lambda c: lfunc.verify_integral(c, args.degree),
-        degree=args.degree,
-    ),
+    "lfactor": lambda args: lfunc.verify_lfactor(args.case),
+    "integral": lambda args: lfunc.verify_integral(args.case, args.degree),
     "orbits": _orbits,
 }
 

@@ -83,7 +83,7 @@ def trilinear(u, v, w):
     return poly_sum(
         coeff * (u[i] * v[j] * w[k])
         for (i, j, k), coeff in TRILINEAR.items()
-        if not (is_zero(u[i]) or is_zero(v[j]) or is_zero(w[k]))
+        if u[i] and v[j] and w[k]
     )
 
 

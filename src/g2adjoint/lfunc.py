@@ -341,10 +341,22 @@ def proposition_check(case, bound):
     return report
 
 
-def verify_lfactor(case="nonsplit"):
-    """Certify the determinant forms of the local L-factors and the
-    structure of the representation they come from."""
-    report = VerificationReport("lfactor", {"case": case})
+def _by_case(suite, case, verify, **parameters):
+    """verify(case), or for case "both" the split and non-split reports
+    merged under `suite`."""
+    if case != "both":
+        return verify(case)
+    return merge_reports(
+        suite,
+        {"case": case, **parameters},
+        [(c, verify(c)) for c in ("split", "nonsplit")],
+    )
+
+
+def _frobenius_checks():
+    """The case-independent checks of verify_lfactor, in report order, and
+    the Frobenius eigenvalue lists (plus, minus)."""
+    report = VerificationReport("lfactor")
     fr = frobenius_matrix()
     report.check(
         "frobenius-is-involution",
@@ -387,7 +399,28 @@ def verify_lfactor(case="nonsplit"):
     )
     report.note_typo("eigenspace-duplication")
     report.note_typo("gl3-class")
+    return report, plus, minus
 
+
+def verify_lfactor(case="nonsplit"):
+    """Certify the determinant forms of the local L-factors and the
+    structure of the representation they come from.  Case "both" merges
+    the split and non-split reports; the Frobenius checks, which do not
+    depend on the case, run once and open both."""
+    frobenius, plus, minus = _frobenius_checks()
+    return _by_case(
+        "lfactor", case, lambda c: _lfactor_case(c, frobenius, plus, minus)
+    )
+
+
+def _lfactor_case(case, frobenius, plus, minus):
+    """The lfactor report of one case: the report `frobenius` of the shared
+    checks, then the determinant checks of the case, which use the
+    Frobenius eigenvalue lists."""
+    report = VerificationReport(
+        "lfactor", {"case": case},
+        list(frobenius.checks), list(frobenius.typo_keys),
+    )
     if case == "nonsplit":
         den = l_factor_denominator(NonSplitClass.symbolic())
         report.check(
@@ -460,16 +493,22 @@ def verify_identities(bound):
 
 
 def verify_integral(case, bound):
-    """Inner-integral lemma plus the end-to-end unramified identity."""
-    report = proposition_check(case, bound)
+    """Inner-integral lemma plus the end-to-end unramified identity; case
+    "both" merges the split and non-split reports, and the inner-integral
+    check, which does not depend on the case, runs once and closes both."""
     shell_ok = all(
         inner_integral_shell(vc) == inner_integral_closed(vc)
         for vc in range(-3, 9)
     )
-    report.check(
-        "inner-integral-shell-vs-closed-form",
-        shell_ok,
-        "shell summation equals (1 - q^-1 x)(1 - x^(v(c)+1))/(1 - x) for "
-        "v(c) in [-3, 8], symbolically in q",
-    )
-    return report
+
+    def verify(case):
+        report = proposition_check(case, bound)
+        report.check(
+            "inner-integral-shell-vs-closed-form",
+            shell_ok,
+            "shell summation equals (1 - q^-1 x)(1 - x^(v(c)+1))/(1 - x) "
+            "for v(c) in [-3, 8], symbolically in q",
+        )
+        return report
+
+    return _by_case("integral", case, verify, degree=bound)

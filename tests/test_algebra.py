@@ -61,6 +61,12 @@ def test_products_drop_exactly_the_vanished_variables():
     assert square.variables == ("x",)
     assert square.terms == {(2,): 1, (0,): -1}
     assert ((x + y) * LaurentPoly.zero()).variables == ()
+    # a single-term factor with coefficient -1, on either side
+    minus = LaurentPoly.monomial(-1, {"x": -1})
+    for product in (minus * (x + y), (x + y) * minus):
+        assert product == -1 - v("x", -1) * y
+        assert product.variables == ("x", "y")
+    assert minus * x == -1 and (minus * x).variables == ()
 
 
 def test_laurent_negative_exponents_and_units():
@@ -416,6 +422,87 @@ def test_poly_sum_never_calls_the_binary_add(monkeypatch):
     total = poly_sum(items)
     monkeypatch.undo()
     assert total == v("b", -1) * v("a") + 2
+
+
+# ints as operands: 0, +-1 and True, which is the int 1, among them
+kernel_ints = st.one_of(st.sampled_from((0, 1, -1, True)), st.integers(-5, 5))
+
+
+def term_by_term_product(p, q):
+    """p * q by the textbook double loop, normalized by the constructor."""
+    names = sorted(set(p.variables) | set(q.variables))
+    terms = {}
+    for e1, c1 in p.terms.items():
+        d1 = dict(zip(p.variables, e1))
+        for e2, c2 in q.terms.items():
+            d2 = dict(zip(q.variables, e2))
+            key = tuple(d1.get(n, 0) + d2.get(n, 0) for n in names)
+            terms[key] = terms.get(key, 0) + c1 * c2
+    return LaurentPoly(names, terms)
+
+
+@KERNEL
+@given(polys(), kernel_ints)
+def test_int_operands_match_the_constant_polynomial(p, k):
+    c = LaurentPoly.constant(k)
+    for fast, general in (
+        (p * k, p * c), (k * p, c * p), (p + k, p + c),
+        (k + p, c + p), (p - k, p - c), (k - p, c - p),
+    ):
+        assert_normal(fast)
+        assert fast == general
+    assert p * k == term_by_term_product(p, c)
+    assert p + k == poly_sum([p, c]) and k - p == poly_sum([c, -p])
+
+
+def test_int_operands_build_no_constant_and_align_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("constant polynomial or alignment built")
+
+    p = v("a") - v("b", -2)
+    monkeypatch.setattr(LaurentPoly, "constant", refuse)
+    monkeypatch.setattr(LaurentPoly, "_align", refuse)
+    results = [p * 3, 3 * p, p * 0, p + 2, 2 + p, p - 2, 2 - p, p + True]
+    monkeypatch.undo()
+    assert results == [
+        3 * v("a") - 3 * v("b", -2), 3 * v("a") - 3 * v("b", -2), 0,
+        p + 2, p + 2, p - 2, 2 - p, p + 1,
+    ]
+    assert results[2].variables == ()
+
+
+@KERNEL
+@given(monomials(st.sampled_from((1, -1, 2, -3))), polys())
+def test_single_term_products_match_the_general_product(m, p):
+    for result in (m * p, p * m):
+        assert_normal(result)
+        assert result == term_by_term_product(m, p)
+
+
+@KERNEL
+@given(polys())
+def test_truthiness_is_nonzero(p):
+    assert bool(p) == (not p.is_zero())
+    assert bool(p) == (p != 0)
+
+
+def test_zero_polynomial_is_false():
+    assert bool(LaurentPoly.zero()) is False
+    assert not (v("a") - v("a"))
+    assert v("a") and LaurentPoly.constant(-1) and v("a", -1)
+
+
+@pytest.mark.parametrize(
+    "value, zero",
+    [
+        (0, True), (3, False), (-1, False), (True, False), (False, True),
+        (LaurentPoly.zero(), True), (LaurentPoly.constant(2), False),
+        (v("a") - v("a"), True), (v("a", -1), False),
+        (Fraction(0), True), (Fraction(1, 2), False), (0.0, True), (-1.5, False),
+    ],
+)
+def test_is_zero_accepts_any_scalar(value, zero):
+    assert is_zero(value) is zero
 
 
 def test_series_coefficient_extraction():

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from g2adjoint.algebra import RingMatrix
 from g2adjoint.cli import DEFAULT_DEGREE, DEFAULT_Q, DEFAULT_RHO, main
 
 
@@ -313,6 +314,81 @@ def test_failing_check_exits_1(monkeypatch, capsys):
     monkeypatch.setattr(cli.g2model, "verify_lie_models", broken)
     assert main(["verify", "lie"]) == 1
     assert "overall: FAIL" in capsys.readouterr().out
+
+
+def counting(monkeypatch, module, name):
+    """Wrap module.name so each call is counted; returns the call list."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_both_cases_build_the_conjugation_rule_once(monkeypatch, capsys):
+    # one evaluation of r(Fr) r(g) r(Fr) = r(_tg^-1) builds two matrices;
+    # it does not depend on the case, so --case both builds them once
+    from g2adjoint import lfunc
+
+    calls = counting(monkeypatch, lfunc, "conjugation_adjugate_matrix")
+    assert main(["verify", "lfactor", "--case", "both"]) == 0
+    assert len(calls) == 2
+    assert main(["verify", "lfactor", "--case", "split"]) == 0
+    assert len(calls) == 4
+    capsys.readouterr()
+
+
+def test_both_cases_sum_the_inner_integral_shells_once(monkeypatch, capsys):
+    # the shell check evaluates v(c) in [-3, 8] once for both cases, and
+    # again in the next run
+    from g2adjoint import lfunc
+
+    calls = counting(monkeypatch, lfunc, "inner_integral_shell")
+    argv = ["verify", "integral", "--case", "both", "--degree", "2"]
+    assert main(argv) == 0
+    assert len(calls) == 12
+    assert sorted(vc for vc, in calls) == list(range(-3, 9))
+    assert main(argv) == 0
+    assert len(calls) == 24
+    capsys.readouterr()
+
+
+def case_status(argv, check, capsys):
+    """{case: status} of `check` in the merged --case both report."""
+    main([*argv, "--case", "both", "--format", "json", "--no-timestamp"])
+    (suite,) = json.loads(capsys.readouterr().out)["suites"]
+    status = {c["name"]: c["status"] for c in suite["checks"]}
+    return {case: status[f"{case}/{check}"] for case in ("split", "nonsplit")}
+
+
+def test_a_shared_check_sees_a_patch_on_the_next_run(monkeypatch, capsys):
+    # the shared verdicts live for one run: a run after a patch, and one
+    # after the patch is undone, each compute theirs afresh, and both case
+    # blocks carry the verdict
+    from g2adjoint import lfunc
+
+    passing = {"split": "pass", "nonsplit": "pass"}
+    failing = {"split": "fail", "nonsplit": "fail"}
+    rule = (["verify", "lfactor"], "frobenius-conjugation-rule")
+    shell = (["verify", "integral", "--degree", "2"],
+             "inner-integral-shell-vs-closed-form")
+    closed = lfunc.inner_integral_closed
+    for (argv, check), attr, wrong in (
+        (rule, "conjugation_adjugate_matrix", lambda g: RingMatrix.identity(8)),
+        # only v(c) = 5 is wrong, so the unramified identity (v(c) = 0)
+        # keeps passing and the shell check alone fails
+        (shell, "inner_integral_closed",
+         lambda vc: closed(vc) + (1 if vc == 5 else 0)),
+    ):
+        assert case_status(argv, check, capsys) == passing
+        with monkeypatch.context() as patch:
+            patch.setattr(lfunc, attr, wrong)
+            assert case_status(argv, check, capsys) == failing
+        assert case_status(argv, check, capsys) == passing
 
 
 def test_verify_all_document(capsys):
