@@ -27,6 +27,14 @@ def _scalar(value):
     raise TypeError(f"cannot coerce {value!r} to an integer")
 
 
+def _as_poly(value):
+    """A LaurentPoly as it is, and an integer scalar as a constant one; any
+    other value is refused with TypeError."""
+    if isinstance(value, LaurentPoly):
+        return value
+    return LaurentPoly.constant(value)
+
+
 class LaurentPoly:
     """Multivariate polynomial with integer (possibly negative) exponents.
 
@@ -85,12 +93,6 @@ class LaurentPoly:
         return cls._from_normal((), {(): value} if value else {})
 
     @classmethod
-    def variable(cls, name, power=1):
-        if power == 0:
-            return cls.constant(1)
-        return cls._from_normal((name,), {(power,): 1})
-
-    @classmethod
     def monomial(cls, coeff, exponents):
         names = tuple(exponents)
         return cls(names, {tuple(exponents[n] for n in names): coeff})
@@ -108,9 +110,6 @@ class LaurentPoly:
     def __bool__(self):
         """True unless this is the zero polynomial."""
         return bool(self.terms)
-
-    def is_zero(self):
-        return not self.terms
 
     def is_unit(self):
         """A unit of the Laurent ring: one term with coefficient 1 or -1."""
@@ -167,10 +166,7 @@ class LaurentPoly:
         out = dict(a)
         for exps, coeff in b.items():
             _accumulate(out, exps, coeff)
-        # with no term merged every variable keeps the term that used it
-        if len(out) < len(a) + len(b):
-            names, out = _prune(names, out)
-        return LaurentPoly._from_normal(names, out)
+        return LaurentPoly._from_normal(*_prune(names, out))
 
     __radd__ = __add__
 
@@ -216,12 +212,7 @@ class LaurentPoly:
                     total = out.get(key)
                     out[key] = c1 * c2 if total is None else total + c1 * c2
             out = {e: c for e, c in out.items() if c}
-        # a variable with only nonnegative exponents keeps its top degree,
-        # the product of the operands' top coefficients; so only a zero
-        # product or a negative exponent (x^-1 * x) can drop one
-        if not out or _has_negative(a) or _has_negative(b):
-            names, out = _prune(names, out)
-        return LaurentPoly._from_normal(names, out)
+        return LaurentPoly._from_normal(*_prune(names, out))
 
     __rmul__ = __mul__
 
@@ -248,10 +239,9 @@ class LaurentPoly:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly.constant(other)
-        elif not isinstance(other, LaurentPoly):
+        if not isinstance(other, (LaurentPoly, int)):
             return NotImplemented
+        other = _as_poly(other)
         return self.variables == other.variables and self.terms == other.terms
 
     def __hash__(self):
@@ -273,10 +263,8 @@ class LaurentPoly:
         for i, name in enumerate(self.variables):
             if name not in mapping:
                 continue
-            image = mapping[name]
-            if not isinstance(image, LaurentPoly):
-                image = LaurentPoly.constant(image)
-            elif image == LaurentPoly.variable(name):
+            image = _as_poly(mapping[name])
+            if image == sym(name):
                 continue
             images[i] = image
         if not images:
@@ -371,11 +359,6 @@ def _remap(poly, names):
     return out
 
 
-def _has_negative(terms):
-    """Whether some exponent vector of `terms` has a negative entry."""
-    return any(e < 0 for exps in terms for e in exps)
-
-
 def _accumulate(terms, exps, coeff):
     """terms[exps] += coeff, keeping only nonzero coefficients."""
     total = terms.get(exps)
@@ -394,8 +377,7 @@ def poly_sum(polys):
     with every term added into one map, no partial sum copied per addend."""
     names, out = (), {}
     for p in polys:
-        if not isinstance(p, LaurentPoly):
-            p = LaurentPoly.constant(p)
+        p = _as_poly(p)
         if p.variables != names and not set(names).issuperset(p.variables):
             # a new name: re-align the sum so far with the wider names
             partial = LaurentPoly._from_normal(*_prune(names, out))
@@ -428,11 +410,10 @@ def eliminate_formal_inverse(poly, name, value):
     ring are equal iff their difference is cleared to the zero polynomial,
     because the base ring is a domain and `value` is nonzero.
     """
-    if not isinstance(poly, LaurentPoly):
-        poly = LaurentPoly.constant(poly)
+    poly = _as_poly(poly)
     k = poly.min_exponent(name)
     if k < 0:
-        poly = poly * LaurentPoly.variable(name, -k)
+        poly = poly * sym(name, -k)
     return poly.subs({name: value})
 
 
@@ -441,7 +422,7 @@ def equal_mod_inverses(left, right, relations):
     diff = left - right
     for name, value in relations.items():
         diff = eliminate_formal_inverse(diff, name, value)
-    return is_zero(diff)
+    return not diff
 
 
 class TruncatedSeries:
@@ -456,8 +437,7 @@ class TruncatedSeries:
     __slots__ = ("poly", "var", "bound")
 
     def __init__(self, poly, var, bound):
-        if not isinstance(poly, LaurentPoly):
-            poly = LaurentPoly.constant(poly)
+        poly = _as_poly(poly)
         if not isinstance(var, str):
             raise TypeError(f"the series variable is one name, not {var!r}")
         if bound < 0:
@@ -502,7 +482,7 @@ class TruncatedSeries:
         slc = self.slices().get(degree)
         if slc is None:
             return LaurentPoly.zero()
-        return slc * LaurentPoly.variable(self.var, -degree)
+        return slc * sym(self.var, -degree)
 
     def inverse(self):
         """Multiplicative inverse by the graded convolution recurrence, each
@@ -547,12 +527,7 @@ def series_times(poly, series):
 def series_expand(numerator, denominator, var, bound):
     """Power-series expansion of numerator/denominator in `var`, truncated
     above degree `bound`; the denominator's degree-0 part must be a unit."""
-    try:
-        inv = TruncatedSeries(denominator, var, bound).inverse()
-    except NonInvertibleError as exc:
-        raise NonInvertibleError(
-            f"cannot expand 1/({denominator}): {exc}"
-        ) from None
+    inv = TruncatedSeries(denominator, var, bound).inverse()
     return series_times(numerator, inv)
 
 
@@ -614,13 +589,7 @@ class RingMatrix:
     def __sub__(self, other):
         if not isinstance(other, RingMatrix):
             return NotImplemented
-        self._check_same_shape(other)
-        return RingMatrix(
-            [
-                [a - b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)
-            ]
-        )
+        return self + (-other)
 
     def __neg__(self):
         return RingMatrix([[-a for a in row] for row in self.entries])
@@ -664,7 +633,7 @@ class RingMatrix:
 
     def is_diagonal(self):
         return all(
-            is_zero(self.entries[i][j])
+            not self.entries[i][j]
             for i in range(self.rows)
             for j in range(self.cols)
             if i != j
@@ -674,9 +643,9 @@ class RingMatrix:
         for i in range(self.rows):
             for j in range(self.cols):
                 e = self.entries[i][j]
-                if i == j and not is_zero(e - 1):
+                if i == j and e - 1:
                     return False
-                if i > j and not is_zero(e):
+                if i > j and e:
                     return False
         return True
 
@@ -748,13 +717,8 @@ def _dot(row, col):
     return 0 if acc is None else acc
 
 
-def is_zero(x):
-    """Zero test for any scalar: an int, a LaurentPoly or another number.
-    It is plain truthiness, since a LaurentPoly is false exactly when it
-    is the zero polynomial."""
-    return not x
-
-
 def sym(name, power=1):
     """The Laurent monomial name^power."""
-    return LaurentPoly.variable(name, power)
+    if power == 0:
+        return LaurentPoly.one()
+    return LaurentPoly._from_normal((name,), {(power,): 1})

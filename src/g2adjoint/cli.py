@@ -32,6 +32,15 @@ DEFAULT_DEGREE = 12
 DEFAULT_Q = 5
 DEFAULT_RHO = 2
 
+# A run at --degree d builds the split L-series truncated at degree d, which
+# has (d+1)^3 terms, and peak memory grows with it: `verify all` peaked at
+# 49.5 MiB at d = 24 (15,625 terms), 175 MiB at d = 40 (68,921), 510 MiB at
+# d = 56 (185,193) and 602 MiB at d = 60 (226,981), about 2,780 bytes a term
+# there.  A degree whose series would take more than the orbit suite's
+# budget fields.ORBIT_CAP (512 MiB) at SERIES_TERM_BYTES a term is refused
+# before any suite runs: d = 56 runs, d = 57 does not.
+SERIES_TERM_BYTES = 2800
+
 
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -92,8 +101,15 @@ def build_parser():
 
 def _check_values(args):
     """Reject values no suite can run with, as usage errors (exit 2)."""
-    if getattr(args, "degree", 1) < 1:
+    degree = getattr(args, "degree", 1)
+    if degree < 1:
         args.usage_error("--degree must be at least 1")
+    if (degree + 1) ** 3 * SERIES_TERM_BYTES > fields.ORBIT_CAP:
+        args.usage_error(
+            f"--degree {degree}: the split L-series would have (d+1)^3 = "
+            f"{(degree + 1) ** 3} terms, about {SERIES_TERM_BYTES} bytes each, "
+            f"over the cap of {fields.ORBIT_CAP} bytes"
+        )
     # the report is written after every suite has run, so an empty or
     # unwritable path is refused first
     if args.out is not None:

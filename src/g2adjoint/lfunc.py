@@ -156,7 +156,7 @@ def _first_series_mismatch(lhs, rhs):
     if (lhs.var, lhs.bound) != (rhs.var, rhs.bound):
         raise ValueError("series with different truncation data")
     diff = lhs.poly - rhs.poly
-    if diff.is_zero():
+    if not diff:
         return None
     slices = TruncatedSeries(diff, lhs.var, lhs.bound).slices()
     degree = min(slices)

@@ -128,11 +128,12 @@ def _trilinear_dense():
     return t
 
 
-def _pull_back(g, q):
-    """T(g x, g y, g z) mod q for a stack g of generators, as an array
-    [generator, i, j, k]: three batched matmuls, one index at a time."""
+def _pull_back(g, t, q):
+    """T(g x, g y, g z) mod q for a stack g of generators and the dense
+    trilinear tensor t, as an array [generator, i, j, k]: three batched
+    matmuls, one index at a time."""
     gt = g.transpose(0, 2, 1)
-    pulled = gt @ _trilinear_dense().reshape(8, 64) % q
+    pulled = gt @ t.reshape(8, 64) % q
     pulled = gt[:, None] @ pulled.reshape(-1, 8, 8, 8) % q
     return pulled @ g[:, None] % q
 
@@ -147,7 +148,7 @@ def generator_invariants_hold(gens, q):
     return all(
         (g @ j % q @ g.transpose(0, 2, 1) % q == j).all()
         and (g @ v0 % q == v0).all()
-        and (_pull_back(g, q) == t).all()
+        and (_pull_back(g, t, q) == t).all()
         for g in chunks
     )
 

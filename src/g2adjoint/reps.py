@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from .algebra import (
     LaurentPoly,
     RingMatrix,
-    is_zero,
     poly_sum,
     sym,
 )
@@ -88,7 +87,7 @@ ADJOINT_BASIS = (
 def adjoint_coordinates(m):
     """Coordinates of a traceless 3x3 matrix in ADJOINT_BASIS."""
     trace = m[0, 0] + m[1, 1] + m[2, 2]
-    if not is_zero(trace):
+    if trace:
         raise ValueError("matrix is not traceless")
     return [m[ij] for ij in _OFF_DIAGONAL] + [m[0, 0], -m[2, 2]]
 

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from g2adjoint import cli
 from g2adjoint.algebra import RingMatrix
 from g2adjoint.cli import DEFAULT_DEGREE, DEFAULT_Q, DEFAULT_RHO, main
 
@@ -174,6 +175,8 @@ def test_unknown_flag_exits_2():
         ["verify", "all", "--degree", "-1"],
         ["verify", "identities", "--degree", "0"],
         ["verify", "integral", "--degree", "0"],
+        ["verify", "all", "--degree", "57"],
+        ["verify", "identities", "--degree", str(10 ** 12)],
         ["verify", "orbits", "--q", "4"],
         ["verify", "orbits", "--q", "3"],
         ["verify", "orbits", "--rho", "0"],
@@ -193,6 +196,20 @@ def test_invalid_value_exits_2(argv, capsys):
     assert captured.out == ""
     # the usage line of the suite that was invoked, not the top-level one
     assert captured.err.startswith(f"usage: g2adjoint verify {argv[1]} ")
+
+
+def test_degree_bound_is_checked_before_any_suite(monkeypatch):
+    def no_suite(args):
+        raise AssertionError("a suite started")
+
+    monkeypatch.setattr(cli, "run", no_suite)
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "all", "--degree", "57"])
+    assert err.value.code == 2
+    # 56 is the largest degree whose predicted series fits the cap
+    cli._check_values(cli.build_parser().parse_args(
+        ["verify", "all", "--degree", "56"]
+    ))
 
 
 def test_all_help_shows_each_default(capsys):

@@ -6,7 +6,7 @@ from math import factorial
 
 import pytest
 
-from g2adjoint.algebra import LaurentPoly, RingMatrix, equal_mod_inverses, is_zero
+from g2adjoint.algebra import LaurentPoly, RingMatrix, equal_mod_inverses
 from g2adjoint.g2model import (
     G2_PARAMS,
     J8,
@@ -75,7 +75,7 @@ def _root_weight(param):
     weight = None
     for i in range(8):
         for j in range(8):
-            if not is_zero(e[i, j]):
+            if e[i, j]:
                 cand = b[i, j] * (1 if e[i, j] == 1 else -1)
                 if weight is None:
                     weight = cand
@@ -136,11 +136,7 @@ def basis_vector(i):
 
 
 def is_zero_matrix(m):
-    return all(
-        (m[i, j].is_zero() if isinstance(m[i, j], LaurentPoly) else m[i, j] == 0)
-        for i in range(8)
-        for j in range(8)
-    )
+    return not any(m[i, j] for i in range(8) for j in range(8))
 
 
 def test_pairing_norms():
@@ -197,7 +193,7 @@ def derivation_defect_512(matrix):
                     acc = acc + TRILINEAR.get((m, j, k), 0) * cols[i][m]
                     acc = acc + TRILINEAR.get((i, m, k), 0) * cols[j][m]
                     acc = acc + TRILINEAR.get((i, j, m), 0) * cols[k][m]
-                if not acc.is_zero():
+                if acc:
                     return (i, j, k)
     return None
 
@@ -337,9 +333,7 @@ def test_n2_directions_abelian_and_stabilize():
     assert is_zero_matrix(bracket(x_e, x_f))
     for d in (x_e, x_f):
         image = d.apply(list(v_rho_vector()))
-        assert all(
-            (e.is_zero() if isinstance(e, LaurentPoly) else e == 0) for e in image
-        )
+        assert not any(image)
 
 
 def test_weyl_rep_requires_simple_root():
@@ -579,8 +573,8 @@ W_BASIS = [
 def express_in_w_basis(y):
     """Coordinates of y in W_BASIS; asserts membership in W."""
     y = [e if isinstance(e, LaurentPoly) else LaurentPoly.constant(e) for e in y]
-    assert (y[3] - y[4]).is_zero()          # orthogonal to v0
-    assert (y[5] + RHO * y[2]).is_zero()    # orthogonal to v_rho
+    assert not y[3] - y[4]          # orthogonal to v0
+    assert not y[5] + RHO * y[2]    # orthogonal to v_rho
     rho_inv = sym("rho", -1)
     return [
         y[0],
@@ -629,8 +623,8 @@ def su21_as_3x3_over_e():
             p = a[2 * i][2 * j]
             r = a[2 * i + 1][2 * j]
             # E-linearity block shape: [[p, rho r], [r, p]]
-            assert (a[2 * i + 1][2 * j + 1] - p).is_zero()
-            assert (a[2 * i][2 * j + 1] - RHO * r).is_zero()
+            assert not a[2 * i + 1][2 * j + 1] - p
+            assert not a[2 * i][2 * j + 1] - RHO * r
             row.append((p, r))
         out.append(row)
     return out
@@ -640,7 +634,7 @@ def test_su21_action_is_traceless_anti_hermitian():
     y = su21_as_3x3_over_e()
     trace_p = y[0][0][0] + y[1][1][0] + y[2][2][0]
     trace_r = y[0][0][1] + y[1][1][1] + y[2][2][1]
-    assert trace_p.is_zero() and trace_r.is_zero()
+    assert not trace_p and not trace_r
     # X K + K conj(X)^t = 0 with K = antidiag(2, 1, 2): the basis with
     # w2..w5 halved has K = antidiag(1, 1, 1), and doubling the last two
     # E-coordinates scales K by diag(1, 2, 2)^-1 on both sides.  Entrywise
@@ -650,8 +644,8 @@ def test_su21_action_is_traceless_anti_hermitian():
         for j in range(3):
             p1, r1 = y[i][2 - j]
             p2, r2 = y[j][2 - i]
-            assert (k[2 - j] * p1 + k[i] * p2).is_zero(), (i, j)
-            assert (k[2 - j] * r1 - k[i] * r2).is_zero(), (i, j)
+            assert not k[2 - j] * p1 + k[i] * p2, (i, j)
+            assert not k[2 - j] * r1 - k[i] * r2, (i, j)
 
 
 def test_su21_to_3x3_map_is_injective():

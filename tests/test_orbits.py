@@ -120,7 +120,8 @@ def test_pull_back_matches_einsum(q):
     pulled = np.einsum("lmn,gli->gimn", t, g) % q
     pulled = np.einsum("gimn,gmj->gijn", pulled, g) % q
     pulled = np.einsum("gijn,gnk->gijk", pulled, g) % q
-    assert np.array_equal(_pull_back(g, q), pulled)
+    assert np.array_equal(_pull_back(g, t, q), pulled)
+    assert np.array_equal(_pull_back(g, t % q, q), pulled)
     assert not generator_invariants_hold(list(g[-20:]), q)
 
 

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from g2adjoint.algebra import LaurentPoly
+from g2adjoint.algebra import sym
 from g2adjoint.report import (
     TYPOS,
     VerificationReport,
@@ -30,7 +30,7 @@ def test_pass_fail_logic():
     "ok",
     [
         "entry (0, 0) differs",
-        LaurentPoly.variable("a"),
+        sym("a"),
         np.array([True]),
     ],
     ids=["str", "LaurentPoly", "ndarray"],

@@ -83,15 +83,15 @@ def exact_div_difference(poly, va, vb):
     if not coeffs:
         return LaurentPoly.zero()
     n = max(coeffs)
-    r = LaurentPoly.variable(vb)
-    x = LaurentPoly.variable(va)
+    r = sym(vb)
+    x = sym(va)
     quotient = LaurentPoly.zero()
     carry = LaurentPoly.zero()
     for k in range(n, 0, -1):
         carry = coeffs.get(k, LaurentPoly.zero()) + r * carry
         quotient = quotient + carry * x ** (k - 1)
     remainder = coeffs.get(0, LaurentPoly.zero()) + r * carry
-    if not remainder.is_zero():
+    if remainder:
         raise ValueError(f"not divisible by {va} - {vb}")
     return quotient
 
@@ -423,7 +423,7 @@ def peel_expand(char):
     character, subtracting one Gelfand-Tsetlin character per peel."""
     remaining = char
     out = {}
-    while not remaining.is_zero():
+    while remaining:
         weights = []
         for exps, coeff in remaining.terms.items():
             e = dict(zip(remaining.variables, exps))
