@@ -624,6 +624,12 @@ class RingMatrix:
     def transpose(self):
         return RingMatrix(list(zip(*self.entries)))
 
+    def subs(self, mapping):
+        """LaurentPoly.subs on every entry, an int entry taken as a constant."""
+        return RingMatrix(
+            [[_as_poly(e).subs(mapping) for e in row] for row in self.entries]
+        )
+
     def anti_transpose(self):
         """Reflection across the diagonal from upper right to lower left."""
         n, m = self.rows, self.cols

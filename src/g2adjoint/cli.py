@@ -70,7 +70,7 @@ def build_parser():
                        help=f"truncation degree (default {DEFAULT_DEGREE})")
 
     def case(p):
-        p.add_argument("--case", choices=("split", "nonsplit", "both"),
+        p.add_argument("--case", choices=(*lfunc.CASES, "both"),
                        default="both",
                        help="split or non-split case (default both)")
 

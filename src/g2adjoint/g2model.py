@@ -250,34 +250,32 @@ def in_parabolic(matrix):
 # -- torus element and Iwasawa factorizations --------------------------------
 
 N_RELATION = sym("a") ** 2 - sym("b") ** 2 * sym("rho")
+# The model's one formal inverse and its defining polynomial
+RELATIONS = {"N": N_RELATION}
 
 
-def torus_matrix(a=None, b=None, rho=None, n_inv=None):
+def torus_matrix():
     """The 8x8 torus element attached to a + b*sqrt(rho); N = a^2 - b^2*rho
-    enters only through the formal inverse n_inv."""
-    a = sym("a") if a is None else a
-    b = sym("b") if b is None else b
-    rho = sym("rho") if rho is None else rho
-    n_inv = sym("N", -1) if n_inv is None else n_inv
-    z = LaurentPoly.zero()
+    enters only through the formal inverse N^-1.  Other elements of the
+    torus are its images under RingMatrix.subs."""
+    a, b, rho, n_inv = sym("a"), sym("b"), sym("rho"), sym("N", -1)
     a2, ab, b2 = a * a * n_inv, a * b * n_inv, b * b * n_inv
     return RingMatrix(
         [
-            [a, -b, z, z, z, z, z, z],
-            [-b * rho, a, z, z, z, z, z, z],
-            [z, z, a2, -ab, -ab, -b2, z, z],
-            [z, z, -ab * rho, a2, b2 * rho, ab, z, z],
-            [z, z, -ab * rho, b2 * rho, a2, ab, z, z],
-            [z, z, -b2 * rho * rho, ab * rho, ab * rho, a2, z, z],
-            [z, z, z, z, z, z, a * n_inv, b * n_inv],
-            [z, z, z, z, z, z, b * rho * n_inv, a * n_inv],
+            [a, -b, 0, 0, 0, 0, 0, 0],
+            [-b * rho, a, 0, 0, 0, 0, 0, 0],
+            [0, 0, a2, -ab, -ab, -b2, 0, 0],
+            [0, 0, -ab * rho, a2, b2 * rho, ab, 0, 0],
+            [0, 0, -ab * rho, b2 * rho, a2, ab, 0, 0],
+            [0, 0, -b2 * rho * rho, ab * rho, ab * rho, a2, 0, 0],
+            [0, 0, 0, 0, 0, 0, a * n_inv, b * n_inv],
+            [0, 0, 0, 0, 0, 0, b * rho * n_inv, a * n_inv],
         ]
     )
 
 
-def matrices_equal_mod(m1, m2, relations=None):
+def matrices_equal_mod(m1, m2, relations=RELATIONS):
     """Entry-wise equality after clearing the formal inverses."""
-    relations = {"N": N_RELATION} if relations is None else relations
     for i in range(m1.rows):
         for j in range(m1.cols):
             if not equal_mod_inverses(m1[i, j], m2[i, j], relations):
@@ -292,13 +290,12 @@ def preserves_bilinear(matrix):
 
 def preserves_trilinear(matrix):
     """T(mu, mv, mw) = T(u, v, w) on all basis triples, modulo N."""
-    relations = {"N": N_RELATION}
     cols = [[matrix[i, j] for i in range(8)] for j in range(8)]
     return all(
         equal_mod_inverses(
             trilinear(cols[i], cols[j], cols[k]),
             TRILINEAR.get((i, j, k), 0),
-            relations,
+            RELATIONS,
         )
         for i, j, k in combinations(range(8), 3)
     )
@@ -321,8 +318,7 @@ def iwasawa_case1():
     a, b, rho = sym("a"), sym("b"), sym("rho")
     a_inv, n_inv = sym("a", -1), sym("N", -1)
     u = one_param("a", -b * a_inv)
-    n_poly = N_RELATION
-    t = _levi_torus(n_poly * a_inv, a, a * n_inv, a_inv)
+    t = _levi_torus(N_RELATION * a_inv, a, a * n_inv, a_inv)
     k = one_param("g", -b * rho * a_inv)
     return u, t, k
 
@@ -342,10 +338,7 @@ def iwasawa_case2():
     n_inv = sym("N", -1)
     u1 = -a * brho_inv
     u = one_param("a", u1)
-    n_poly = N_RELATION
-    t = _levi_torus(
-        n_poly * brho_inv, b * rho, b * rho * n_inv, brho_inv
-    )
+    t = _levi_torus(N_RELATION * brho_inv, b * rho, b * rho * n_inv, brho_inv)
     k = weyl_rep("a") * one_param("a", u1)
     return u, t, k
 
@@ -354,14 +347,10 @@ def entries_polynomial_in(matrix, substitution):
     """True when every entry is a polynomial in a fresh variable z once
     `substitution` puts the claimed ratio in as z (b -> z*a/rho claims
     b*rho/a): z is the only variable left, with no negative power."""
-    entries = [
-        e.subs(substitution)
-        for row in matrix.entries
-        for e in row
-        if isinstance(e, LaurentPoly)
-    ]
     return all(
-        e.variables in ((), ("z",)) and e.min_exponent("z") >= 0 for e in entries
+        e.variables in ((), ("z",)) and e.min_exponent("z") >= 0
+        for row in matrix.subs(substitution).entries
+        for e in row
     )
 
 
@@ -519,11 +508,10 @@ def verify_iwasawa():
     claims feeding the unramified integral."""
     report = VerificationReport("iwasawa", {})
     t = torus_matrix()
-    relations = {"N": N_RELATION}
 
     report.check(
         "torus-determinant-one",
-        equal_mod_inverses(t.det(), 1, relations),
+        equal_mod_inverses(t.det(), 1, RELATIONS),
         "det = 1 once N = a^2 - b^2*rho; fails for the printed N = a^2 - b*rho^2",
     )
     report.note_typo("norm-formula")
@@ -533,7 +521,7 @@ def verify_iwasawa():
         ("v0", "v0", V0_VECTOR),
     ):
         ok = all(
-            equal_mod_inverses(got, want, relations)
+            equal_mod_inverses(got, want, RELATIONS)
             for got, want in zip(t.apply(list(vector)), vector)
         )
         report.check(f"torus-fixes-{label}", ok, f"t . {name} = {name}")
@@ -587,16 +575,11 @@ def verify_iwasawa():
     )
 
     # a = 0 specialization of case 2 stays a valid factorization
-    def at_a0(m):
-        return RingMatrix(
-            [[x.subs({"a": 0}) if isinstance(x, LaurentPoly) else x for x in row]
-             for row in m.entries]
-        )
-
+    a0 = {"a": 0}
     mismatch = matrices_equal_mod(
-        at_a0(u2) * at_a0(t2) * at_a0(k2),
-        at_a0(t),
-        {"N": -sym("b") ** 2 * sym("rho")},
+        u2.subs(a0) * t2.subs(a0) * k2.subs(a0),
+        t.subs(a0),
+        {"N": N_RELATION.subs(a0)},
     )
     report.check(
         "case2-specializes-at-a-equals-0",

@@ -47,11 +47,22 @@ from .reps import (
 
 POINCARE_DEGREE_LIMIT = 10
 
+# The two unramified cases, under the names that --case and the reports use.
+CASES = {"split": SplitClass, "nonsplit": NonSplitClass}
+
+
+def satake_class(case):
+    """The symbolic Satake class of the case named `case` in CASES."""
+    if case not in CASES:
+        raise ValueError(f"unknown case {case!r}")
+    return CASES[case].symbolic()
+
 
 def l_factor_denominator(satake, sign=1):
-    """det(1 - x r(class)) as a Laurent polynomial in x and the class."""
-    m = r_matrix(satake, sign=sign)
-    return (RingMatrix.identity(8) - m.scale(sym("x"))).det()
+    """det(1 - sign x r(class)) as a Laurent polynomial in x and the class;
+    sign=-1 gives the quadratic twist, as r'(g Fr) = -r(g Fr)."""
+    m = r_matrix(satake)
+    return (RingMatrix.identity(8) - m.scale(sign * sym("x"))).det()
 
 
 def nonsplit_factor_product():
@@ -114,7 +125,8 @@ def poincare_oracle(bound):
     report = VerificationReport("poincare", {"degree": bound})
     t1, t2, x = sym("T1"), sym("T2"), sym("X")
     base = schur_char(1, 1)  # the adjoint character
-    table = dict(enumerate(map(schur_expand, sym_power_char(base, bound))))
+    # Sym^2 is expanded at every bound, since low-degree-values names it
+    table = dict(enumerate(map(schur_expand, sym_power_char(base, max(bound, 2)))))
     lhs = poly_sum(
         mult * t1 ** m1 * t2 ** m2 * x ** k
         for k, mults in table.items() for (m1, m2), mult in mults.items()
@@ -132,8 +144,8 @@ def poincare_oracle(bound):
     report.check(
         "low-degree-values",
         table[0] == {(0, 0): 1}
-        and (bound < 1 or table[1] == {(1, 1): 1})
-        and (bound < 2 or table[2] == {(2, 2): 1, (1, 1): 1, (0, 0): 1}),
+        and table[1] == {(1, 1): 1}
+        and table[2] == {(2, 2): 1, (1, 1): 1, (0, 0): 1},
         "Sym^0 = trivial, Sym^1 = adjoint, Sym^2 = 27 + 8 + 1",
     )
     return report
@@ -242,7 +254,7 @@ def nonsplit_identity_check(bound):
     report.note_typo("TM-exponent")
     report.check(
         "spot-values",
-        a.coefficient(0) == 1 and a.coefficient(1) == t,
+        all(s.coefficient(0) == 1 and s.coefficient(1) == t for s in (a, b, c)),
         "constant term 1 and X coefficient T in all three expressions",
     )
     return report
@@ -301,13 +313,8 @@ def _triple_name(triple):
 def proposition_check(case, bound):
     """End-to-end unramified identity with fully symbolic Satake
     parameters, for both candidate zeta triples."""
+    satake = satake_class(case)
     report = VerificationReport("proposition", {"case": case, "degree": bound})
-    if case == "split":
-        satake = SplitClass.symbolic()
-    elif case == "nonsplit":
-        satake = NonSplitClass.symbolic()
-    else:
-        raise ValueError(f"unknown case {case!r}")
     lhs = unramified_lhs(satake, bound)
     outcomes = {
         triple: _first_series_mismatch(lhs, rhs)
@@ -341,16 +348,19 @@ def proposition_check(case, bound):
     return report
 
 
-def _by_case(suite, case, verify, **parameters):
-    """verify(case), or for case "both" the split and non-split reports
-    merged under `suite`."""
+def _case_names(case):
+    """The cases that `case` names, all of CASES for "both"; refuses any other."""
+    if case == "both":
+        return list(CASES)
+    satake_class(case)
+    return [case]
+
+
+def _by_case(suite, case, reports, **parameters):
+    """The report of the one case, or for "both" all merged under `suite`."""
     if case != "both":
-        return verify(case)
-    return merge_reports(
-        suite,
-        {"case": case, **parameters},
-        [(c, verify(c)) for c in ("split", "nonsplit")],
-    )
+        return reports[0][1]
+    return merge_reports(suite, {"case": case, **parameters}, reports)
 
 
 def _frobenius_checks():
@@ -402,15 +412,15 @@ def _frobenius_checks():
     return report, plus, minus
 
 
-def verify_lfactor(case="nonsplit"):
+def verify_lfactor(case):
     """Certify the determinant forms of the local L-factors and the
     structure of the representation they come from.  Case "both" merges
     the split and non-split reports; the Frobenius checks, which do not
     depend on the case, run once and open both."""
+    names = _case_names(case)
     frobenius, plus, minus = _frobenius_checks()
-    return _by_case(
-        "lfactor", case, lambda c: _lfactor_case(c, frobenius, plus, minus)
-    )
+    reports = [(c, _lfactor_case(c, frobenius, plus, minus)) for c in names]
+    return _by_case("lfactor", case, reports)
 
 
 def _lfactor_case(case, frobenius, plus, minus):
@@ -421,15 +431,16 @@ def _lfactor_case(case, frobenius, plus, minus):
         "lfactor", {"case": case},
         list(frobenius.checks), list(frobenius.typo_keys),
     )
+    satake = satake_class(case)
+    den = l_factor_denominator(satake)
+    x = sym("x")
     if case == "nonsplit":
-        den = l_factor_denominator(NonSplitClass.symbolic())
         report.check(
             "determinant-equals-five-factor-product",
             den == nonsplit_factor_product(),
             "det(1 - x r(g) r(Fr)) = (1-mu^2 x)(1-mu^2 x^2)(1-x^2)"
             "(1-mu^-2 x)(1-mu^-2 x^2), symbolic mu",
         )
-        x = sym("x")
 
         def blocks(sign):
             return math.prod(
@@ -442,26 +453,22 @@ def _lfactor_case(case, frobenius, plus, minus):
             "the -1 eigenvalues enter through 1 + w x factors (pairing "
             "into the x^2 factors)",
         )
-        twisted = l_factor_denominator(NonSplitClass.symbolic(), sign=-1)
+        twisted = l_factor_denominator(satake, sign=-1)
         report.check(
             "twisted-variant-flips-block-signs",
             twisted == blocks(-1)
-            and twisted == den.subs({"x": -sym("x")}),
+            and twisted == den.subs({"x": -x}),
             "det(1 - x r(g) r'(Fr)) swaps the block signs, i.e. the "
             "quadratic twist x -> -x",
         )
     else:
-        satake = SplitClass.symbolic()
-        den = l_factor_denominator(satake)
-        x = sym("x")
         report.check(
             "determinant-equals-weight-product",
             den == math.prod(1 - w * x for w in adjoint_weights()),
             "det(1 - x r(diag(alpha))) = prod over the eight adjoint "
             "weights alpha_i/alpha_j (i != j) and 1, 1",
         )
-        m = r_matrix(satake)
-        cp = m.charpoly("t")
+        cp = r_matrix(satake).charpoly("t")
         a1, a2 = sym("alpha1"), sym("alpha2")
         swapped = cp.subs({"alpha1": a2, "alpha2": a1})
         inverted = cp.subs(
@@ -496,6 +503,7 @@ def verify_integral(case, bound):
     """Inner-integral lemma plus the end-to-end unramified identity; case
     "both" merges the split and non-split reports, and the inner-integral
     check, which does not depend on the case, runs once and closes both."""
+    names = _case_names(case)
     shell_ok = all(
         inner_integral_shell(vc) == inner_integral_closed(vc)
         for vc in range(-3, 9)
@@ -511,4 +519,5 @@ def verify_integral(case, bound):
         )
         return report
 
-    return _by_case("integral", case, verify, degree=bound)
+    reports = [(c, verify(c)) for c in names]
+    return _by_case("integral", case, reports, degree=bound)

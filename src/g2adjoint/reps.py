@@ -122,13 +122,13 @@ def conjugation_adjugate_matrix(g):
     return conjugation_matrix(g, adjugate3(g))
 
 
-def frobenius_matrix(sign=1):
-    """r(Fr): the involution X -> _tX on ADJOINT_BASIS (sign=-1 gives the
-    twisted variant r'(Fr) = -r(Fr))."""
-    return _adjoint_action(lambda b: b.anti_transpose().scale(sign))
+def frobenius_matrix():
+    """r(Fr): the involution X -> _tX on ADJOINT_BASIS (the twisted variant
+    r'(Fr) = -r(Fr) enters through lfunc.l_factor_denominator)."""
+    return _adjoint_action(lambda b: b.anti_transpose())
 
 
-def r_matrix(satake, sign=1):
+def r_matrix(satake):
     """The 8x8 matrix of the Satake class under the adjoint representation
     (composed with the Frobenius action in the non-split case)."""
     if not isinstance(satake, (SplitClass, NonSplitClass)):
@@ -136,7 +136,7 @@ def r_matrix(satake, sign=1):
     g = satake.diagonal()
     g_inv = RingMatrix.diagonal([g[i, i].unit_inverse() for i in range(3)])
     r = conjugation_matrix(g, g_inv)
-    return r if isinstance(satake, SplitClass) else r * frobenius_matrix(sign)
+    return r if isinstance(satake, SplitClass) else r * frobenius_matrix()
 
 
 def adjoint_weights():

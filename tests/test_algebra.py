@@ -544,6 +544,17 @@ def test_matrix_identities_and_examples():
     assert norm.det() == a ** 2 - b ** 2 * rho
 
 
+def test_matrix_subs_acts_on_every_entry():
+    a, b = v("a"), v("b")
+    m = RingMatrix([[a, 0], [a * b, 3]])
+    out = m.subs({"a": b ** 2})
+    assert out == RingMatrix([[b ** 2, 0], [b ** 3, 3]])
+    # an int entry comes back as a constant polynomial
+    assert all(isinstance(e, LaurentPoly) for row in out.entries for e in row)
+    with pytest.raises(TypeError):
+        m.subs({"a": 0.5})
+
+
 def test_det_rejects_non_square():
     with pytest.raises(ValueError):
         RingMatrix([[1, 2, 3], [4, 5, 6]]).det()

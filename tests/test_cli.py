@@ -198,6 +198,20 @@ def test_invalid_value_exits_2(argv, capsys):
     assert captured.err.startswith(f"usage: g2adjoint verify {argv[1]} ")
 
 
+@pytest.mark.parametrize("suite", ["lfactor", "integral"])
+def test_case_choices_come_from_the_case_table(suite, monkeypatch, capsys):
+    from g2adjoint import lfunc
+
+    argv = ["verify", suite, "--case", "ramified"]
+    with pytest.raises(SystemExit) as err:
+        cli.build_parser().parse_args(argv)
+    assert err.value.code == 2
+    assert capsys.readouterr().err.startswith(f"usage: g2adjoint verify {suite} ")
+    # a case added to lfunc.CASES is offered by --case
+    monkeypatch.setitem(lfunc.CASES, "ramified", lfunc.CASES["split"])
+    assert cli.build_parser().parse_args(argv).case == "ramified"
+
+
 def test_degree_bound_is_checked_before_any_suite(monkeypatch):
     def no_suite(args):
         raise AssertionError("a suite started")

@@ -126,6 +126,25 @@ def test_poincare_oracle_runs_past_the_report_cap():
     assert report.passed, report.to_text()
 
 
+def test_low_degree_values_checks_sym2_at_degree_1(monkeypatch):
+    # Sym^2 is expanded at every degree, so a wrong Sym^2 FAILs the check
+    # that names it even where the oracle's series stops at X^1
+    real = lfunc.sym_power_char
+
+    def wrong_sym2(base, k):
+        h = real(base, k)
+        if len(h) > 2:
+            h[2] = h[2] + 1
+        return h
+
+    monkeypatch.setattr(lfunc, "sym_power_char", wrong_sym2)
+    status = {c.name: c.status for c in poincare_oracle(1).checks}
+    assert status == {
+        "symmetric-algebra-matches-closed-form": "pass",
+        "low-degree-values": "fail",
+    }
+
+
 def test_split_identity_small_degree():
     report = split_identity_check(8)
     assert report.passed, report.to_text()
@@ -134,6 +153,23 @@ def test_split_identity_small_degree():
 def test_nonsplit_identity_small_degree():
     report = nonsplit_identity_check(8)
     assert report.passed, report.to_text()
+
+
+def test_nonsplit_spot_values_read_the_closed_form(monkeypatch):
+    # a closed form with a shifted X coefficient FAILs spot-values too, not
+    # only the two comparisons, so the check reads all three expressions
+    real = lfunc.series_expand
+
+    def shifted(numerator, denominator, var, bound):
+        out = real(numerator, denominator, var, bound)
+        if numerator == 1:
+            return TruncatedSeries(out.poly + sym("X"), var, bound)
+        return out
+
+    monkeypatch.setattr(lfunc, "series_expand", shifted)
+    status = {c.name: c.status for c in nonsplit_identity_check(4).checks}
+    assert status["double-sum-equals-closed-form"] == "fail"
+    assert status["spot-values"] == "fail"
 
 
 def test_unramified_lhs_low_coefficients():
@@ -284,9 +320,21 @@ def test_proposition_quick_degrees():
         assert report.passed, report.to_text()
 
 
-def test_proposition_rejects_unknown_case():
-    with pytest.raises(ValueError):
-        proposition_check("ramified", 4)
+def test_proposition_rejects_unknown_case(monkeypatch):
+    # every entry point refuses a case outside lfunc.CASES with ValueError,
+    # before the first check: each of these raises if it is reached
+    def reached(*args):
+        raise RuntimeError("a check ran")
+
+    for name in ("_frobenius_checks", "inner_integral_shell", "unramified_lhs"):
+        monkeypatch.setattr(lfunc, name, reached)
+    for call in (
+        lambda: proposition_check("ramified", 4),
+        lambda: verify_lfactor("ramified"),
+        lambda: verify_integral("ramified", 4),
+    ):
+        with pytest.raises(ValueError, match="unknown case 'ramified'"):
+            call()
 
 
 def test_verify_lfactor_both_cases():
@@ -301,7 +349,7 @@ def test_identity_frobenius_fails_the_eigenspace_checks(monkeypatch):
     from g2adjoint import reps
 
     monkeypatch.setattr(
-        reps, "frobenius_matrix", lambda sign=1: RingMatrix.identity(8)
+        reps, "frobenius_matrix", lambda: RingMatrix.identity(8)
     )
     report = verify_lfactor("nonsplit")
     status = {c.name: c.status for c in report.checks}
@@ -316,7 +364,7 @@ def test_refused_frobenius_fails_the_report_instead_of_raising(monkeypatch):
     # use the eigenvalues FAIL with the refusal instead of a traceback
     from g2adjoint import lfunc, reps
 
-    def doubled(sign=1):
+    def doubled():
         return RingMatrix.identity(8).scale(2)
 
     for module in (reps, lfunc):

@@ -108,6 +108,8 @@ def test_parabolic_generators_are_picked_by_their_roots():
 def test_generators_preserve_structures():
     for q in (5, 7):
         assert generator_invariants_hold(group_generators(q, "full"), q)
+    # no generator, nothing to fail
+    assert generator_invariants_hold([], 5) is True
 
 
 @pytest.mark.parametrize("q", [5, 7])

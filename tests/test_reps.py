@@ -285,7 +285,6 @@ def test_semidirect_product_law(g, h):
 def test_frobenius_involution_and_twist():
     fr = frobenius_matrix()
     assert fr * fr == RingMatrix.identity(8)
-    assert frobenius_matrix(-1) == -fr
 
 
 def test_adjoint_basis_is_traceless_and_independent():
@@ -314,15 +313,15 @@ def test_fr_eigensplit_dimensions_and_values():
     "name, fake",
     [
         # not an involution
-        ("frobenius_matrix", lambda sign=1: RingMatrix.identity(8).scale(2)),
+        ("frobenius_matrix", lambda: RingMatrix.identity(8).scale(2)),
         # swaps E12 and E13, whose torus weights differ
-        ("frobenius_matrix", lambda sign=1: RingMatrix(
+        ("frobenius_matrix", lambda: RingMatrix(
             [[1 if {i, j} == {0, 1} or (i == j > 1) else 0 for j in range(8)]
              for i in range(8)]
         )),
         # r(Fr) commutes with itself, but the trace count needs a diagonal
         # torus
-        ("r_matrix", lambda satake, sign=1: frobenius_matrix()),
+        ("r_matrix", lambda satake: frobenius_matrix()),
     ],
     ids=["not-involution", "not-commuting", "not-diagonal"],
 )
