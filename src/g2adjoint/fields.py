@@ -8,10 +8,11 @@ loading numpy; `orbits` reads the same cap and rules from this module.
 
 from __future__ import annotations
 
-# bytes of one orbit bit map and all the step tables of a FieldSetup:
-# q = 23 (426 MB of bits, 52 MB of tables) runs, q = 29 (2.1 GB) does not,
-# and keys stay below 2^32.  A check holds at most two maps at once.  Read
-# it as fields.ORBIT_CAP, so that patching it here takes effect everywhere
+# bytes of one orbit bit map and all the step and norm tables of a
+# FieldSetup: q = 23 (426 MB of bits, 52 MB of step tables, 4.5 MB of norm
+# tables) runs, q = 29 (2.1 GB) does not, and keys stay below 2^32.  A
+# check holds at most two maps at once.  Read it as fields.ORBIT_CAP, so
+# that patching it here takes effect everywhere
 ORBIT_CAP = 2 ** 29
 
 

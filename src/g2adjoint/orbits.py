@@ -19,19 +19,22 @@ holds uint32 keys only (23^7 < 2^32): the image of a key under a
 generator is the sum of two integer table lookups, one indexed by a
 leading run of its digits and one by a trailing run.  It marks its orbit
 in a bit map of p^7 bits, so the closure is a set (hence
-order-independent).  The checks test each block of keys as the BFS
-expands it: the side of the predicate is key % p^2, and norms are read
-off the digits.
+order-independent); when every generator is invertible mod p, as every
+generator of the check is, the fresh images of a step are distinct and
+np.add.at marks them, and otherwise np.bitwise_or.at does.  The checks
+test each block of keys as the BFS expands it: the side of the predicate
+is key % p^2, and the norm is one uint64 product of two table lookups
+(Kronecker substitution, _norm_tables).
 
 What depends on q alone (the generator lists and their verdicts, the
-H_P generating set and its step tables) is a FieldSetup, which
-verify_orbits builds once and hands to the check of both quadratic
-classes; nothing is cached between calls.  Each class runs three BFS:
-one over the v3 != 0 part (q^4(q^2 - 1) keys) and two over the v3 = 0
-part (q^3(q +- 1) keys), the second in reversed generator order.
-fields.ORBIT_CAP bounds the bytes of one map and of all the step tables
-a FieldSetup holds, together; a q whose map alone is over it is refused
-before any BFS.
+H_P generating set, its step tables and the norm tables) is a
+FieldSetup, which verify_orbits builds once and hands to the check of
+both quadratic classes; nothing is cached between calls.  Each class
+runs three BFS: one over the v3 != 0 part (q^4(q^2 - 1) keys) and two
+over the v3 = 0 part (q^3(q +- 1) keys), the second in reversed
+generator order.  fields.ORBIT_CAP bounds the bytes of one map and of
+all the tables a FieldSetup holds, together; a q whose map alone is over
+it is refused before any BFS.
 
 The BFS makes no BLAS call.  The CLI loads numpy with one OpenBLAS thread
 when the orbit suite runs; importing this module as a library leaves the
@@ -39,6 +42,8 @@ host's BLAS settings alone.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -61,40 +66,53 @@ _BLOCK = 1 << 14
 _CHUNK = 1 << 18
 
 
-# g2model's integer (E, E^2/2) of every root, as int64 arrays
-_ROOT_INT = {
-    param: tuple(np.array(m.entries, dtype=np.int64) for m in pair)
-    for param, pair in ROOT_EXP.items()
-}
+# g2model's integer E and E^2/2 of every root, stacked in ROOT_PARAMS order
+_ROOT_E, _ROOT_HALF_E2 = (
+    np.array([ROOT_EXP[param][half].entries for param in ROOT_PARAMS], dtype=np.int64)
+    for half in (0, 1)
+)
+
+
+def _exp_mod(params, t, p):
+    """exp(t E_root) = I + t E + t^2 E^2/2 mod p for every root of `params`
+    and every t of the 1-d array `t`, as an int64 array [root, t, 8, 8]."""
+    rows = [ROOT_PARAMS.index(param) for param in params]
+    t = (np.asarray(t, dtype=np.int64) % p)[:, None, None]
+    return (np.eye(8, dtype=np.int64) + t * _ROOT_E[rows, None]
+            + t * t * _ROOT_HALF_E2[rows, None]) % p
 
 
 def one_param_mod(param, t, p):
     """exp(t E_root) reduced mod p, as an 8x8 numpy array."""
-    e, half_e2 = _ROOT_INT[param]
-    t = int(t) % p
-    return (np.eye(8, dtype=np.int64) + t * e + t * t * half_e2) % p
+    return _exp_mod([param], [int(t)], p)[0, 0]
 
 
-def _n_mod(param, t, p):
-    t_inv = pow(int(t), p - 2, p)
-    x1 = one_param_mod(param, t, p)
-    x2 = one_param_mod(OPPOSITE_ROOT[param], (-t_inv) % p, p)
-    return ((x1 @ x2 % p) @ x1) % p
+def _n_mod(params, t, p):
+    """n_root(t) = x_root(t) x_{-root}(-1/t) x_root(t) mod p for every root
+    of `params` and every unit of the 1-d array `t`, as [root, t, 8, 8]."""
+    t = np.asarray(t, dtype=np.int64) % p
+    t_inv = np.array([pow(int(u), -1, p) for u in t], dtype=np.int64)
+    x = _exp_mod(params, t, p)
+    return x @ _exp_mod([OPPOSITE_ROOT[param] for param in params], -t_inv, p) % p @ x % p
 
 
 def coroot_mod(param, t, p):
     """h_root(t) = n_root(t) n_root(-1) mod p."""
-    return _n_mod(param, t, p) @ _n_mod(param, p - 1, p) % p
+    n = _n_mod([param], [int(t), p - 1], p)[0]
+    return n[0] @ n[1] % p
 
 
 def group_generators(q, which="full"):
     """Generators of G2(F_q) (or of the parabolic P(F_q)) as numpy arrays:
     one-parameter elements for every root and every t in F_q^x, plus the
-    coroot torus words h_alpha1(t), h_alpha2(t)."""
+    coroot torus words h_alpha1(t), h_alpha2(t), each family built as one
+    stack."""
     if which not in ("full", "parabolic"):
         raise ValueError(f"unknown generator set {which!r}")
-    gens = [one_param_mod(param, t, q) for param in ROOT_PARAMS for t in range(1, q)]
-    gens += [coroot_mod(param, t, q) for param in SIMPLE_PARAMS for t in range(2, q)]
+    gens = list(_exp_mod(ROOT_PARAMS, np.arange(1, q), q).reshape(-1, 8, 8))
+    # the last t of 2, ..., q - 1 is -1, so n[:, -1:] is n_root(-1)
+    n = _n_mod(SIMPLE_PARAMS, np.arange(2, q), q)
+    gens += list((n @ n[:, -1:] % q).reshape(-1, 8, 8))
     return gens if which == "full" else _parabolic(gens, q)
 
 
@@ -117,39 +135,49 @@ def bfs_generators(q):
     measured by double_coset_check, not proved: a set that generates too
     little makes it FAIL, never PASS.
     """
-    a, g, b = (one_param_mod(param, 1, q) for param in ("a", "g", "b"))
+    a, g, b = _exp_mod(("a", "g", "b"), [1], q)[:, 0]
     return [a, g @ b % q]
 
 
-def _trilinear_dense():
-    t = np.zeros((8, 8, 8), dtype=np.int64)
-    for (i, j, k), c in TRILINEAR.items():
-        t[i, j, k] = int(c)
-    return t
+# T is alternating (TRILINEAR holds every permutation of each of its wedges
+# l < m < n, with the permutation's sign), and so is its pull-back by any
+# matrix: both are fixed by their values at the 56 triples i < j < k
+_WEDGES = sorted((key, c) for key, c in TRILINEAR.items() if key[0] < key[1] < key[2])
+_WEDGE_ROWS = np.array([key for key, _ in _WEDGES])
+_WEDGE_COEFFS = np.array([int(c) for _, c in _WEDGES], dtype=np.int64)
+_TRIPLES = np.array(list(itertools.combinations(range(8), 3))).T
+_T_AT_TRIPLES = np.array(
+    [int(TRILINEAR.get(key, 0)) for key in itertools.combinations(range(8), 3)]
+)
 
 
-def _pull_back(g, t, q):
-    """T(g x, g y, g z) mod q for a stack g of generators and the dense
-    trilinear tensor t, as an array [generator, i, j, k]: three batched
-    matmuls, one index at a time."""
-    gt = g.transpose(0, 2, 1)
-    pulled = gt @ t.reshape(8, 64) % q
-    pulled = gt[:, None] @ pulled.reshape(-1, 8, 8, 8) % q
-    return pulled @ g[:, None] % q
+def _pulled_back_triples(g, q):
+    """T(g e_i, g e_j, g e_k) mod q at the triples i < j < k, for a stack g
+    of generators, as an array [generator, triple]: the sum over T's wedges
+    l < m < n of c_lmn times the 3x3 minor of g's rows l, m, n at columns
+    i, j, k, each minor expanded along row l."""
+    rows = g[:, _WEDGE_ROWS]
+    first, second, third = rows[:, :, 0], rows[:, :, 1], rows[:, :, 2]
+    # pairs[..., a, b] is the 2x2 minor of rows m, n at columns a, b
+    pairs = second[..., :, None] * third[..., None, :]
+    pairs = pairs - pairs.swapaxes(-1, -2)
+    i, j, k = _TRIPLES
+    minors = (first[..., i] * pairs[..., j, k] - first[..., j] * pairs[..., i, k]
+              + first[..., k] * pairs[..., i, j])
+    return (minors * _WEDGE_COEFFS[:, None]).sum(axis=1) % q
 
 
 def generator_invariants_hold(gens, q):
     """Every generator preserves J, the trilinear form, and v0, tested on
-    one stack of all of them (empty for no generator): the largest temporary,
-    8x8x8 int64 per generator, is about 1.25 MB for the 306 at q=23."""
+    one stack of all of them (empty for no generator); T is compared at the
+    56 triples i < j < k, which fix both alternating forms."""
     g = np.array(gens, dtype=np.int64).reshape(-1, 8, 8)
     j = np.array(J8.entries, dtype=np.int64)
     v0 = np.array(V0_VECTOR, dtype=np.int64) % q
-    t = _trilinear_dense() % q
     return bool(
         (g @ j % q @ g.transpose(0, 2, 1) % q == j).all()
         and (g @ v0 % q == v0).all()
-        and (_pull_back(g, t, q) == t).all()
+        and (_pulled_back_triples(g, q) == _T_AT_TRIPLES % q).all()
     )
 
 
@@ -222,14 +250,33 @@ def _blocks(parts):
         yield np.concatenate(group)
 
 
-def _steps(gens, p):
-    """(d, hi, n, lo) for each generator g, with key(g v) = hi[key // d]
-    + lo[key % n] on V0: the leading output digits of g read only the
-    first `pre` digits of a key and the trailing ones only the last `suf`
-    (_split), so d = p^(7 - pre) and n = p^suf.  ValueError if g does not
+def _bijective(m, p):
+    """Whether the square integer matrix m is invertible mod the prime p:
+    its determinant, by elimination mod p, is nonzero.  Python ints: at
+    7x7 that is several times faster than numpy row operations."""
+    rows = [[int(x) % p for x in row] for row in m]
+    for col in range(len(rows)):
+        pivot = next((i for i in range(col, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            return False
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        top = rows[col]
+        inv = pow(top[col], -1, p)
+        for row in rows[col + 1:]:
+            scale = row[col] * inv % p
+            row[:] = [(x - scale * y) % p for x, y in zip(row, top)]
+    return True
+
+
+def _steps(gens, p, reserved=0):
+    """(d, hi, n, lo, bijective) for each generator g, with key(g v) =
+    hi[key // d] + lo[key % n] on V0: the leading output digits of g read
+    only the first `pre` digits of a key and the trailing ones only the
+    last `suf` (_split), so d = p^(7 - pre) and n = p^suf; `bijective`
+    says whether g is invertible on V0 mod p.  ValueError if g does not
     map V0 into V0; RuntimeError, before any table is built, if the
-    tables and one orbit map of p^7 bits take more than ORBIT_CAP bytes
-    in all."""
+    tables, one orbit map of p^7 bits and the `reserved` bytes of the
+    caller's norm tables take more than ORBIT_CAP bytes in all."""
     splits = []
     for g in gens:
         m, into_v0 = _on_v0(g, p)
@@ -238,18 +285,24 @@ def _steps(gens, p):
         splits.append((m, _split(m, p)))
     map_bytes = -(-p ** 7 // 8)
     table_bytes = 4 * sum(p ** pre + p ** suf for _, (_, pre, suf) in splits)
-    if map_bytes + table_bytes > fields.ORBIT_CAP:
-        raise RuntimeError(f"an orbit map of {map_bytes} bytes and step tables "
-                           f"of {table_bytes} bytes exceed cap {fields.ORBIT_CAP}")
+    if map_bytes + table_bytes + reserved > fields.ORBIT_CAP:
+        raise RuntimeError(f"an orbit map of {map_bytes} bytes, step tables of "
+                           f"{table_bytes} bytes and norm tables of {reserved} "
+                           f"bytes exceed cap {fields.ORBIT_CAP}")
     return [
         (
             p ** (7 - pre),
             _table(m, range(rows), range(pre), p),
             p ** suf,
             _table(m, range(rows, 7), range(7 - suf, 7), p),
+            _bijective(m, p),
         )
         for m, (rows, pre, suf) in splits
     ]
+
+
+# _BITS[key % 8] is the bit of a key in its byte
+_BITS = np.array([1 << i for i in range(8)], dtype=np.uint8)
 
 
 def orbit(start, gens, p, steps=None, visit=None):
@@ -259,14 +312,27 @@ def orbit(start, gens, p, steps=None, visit=None):
     start must lie in V0 and every generator map V0 into V0 (ValueError
     otherwise).  The frontier holds uint32 keys only, and a generator step
     is two integer table lookups, hi[key // d] + lo[key % n] (_steps);
-    membership is one lookup of each image's byte and marking one
-    np.bitwise_or.at, before anything is appended.  `steps`, if given, is
+    membership is one lookup of each image's byte, and the fresh images
+    are marked before they are appended.  `steps`, if given, is
     _steps(gens, p), one entry per generator; otherwise it is built here
-    (RuntimeError if it and the map exceed ORBIT_CAP).  `visit`, if given,
-    is called on each block of keys the BFS expands; each key, the start
-    included, is in one block (in more only if a generator is not
-    injective).  The size is the count of set bits, so it cannot be
-    inflated, and the map is a set, the same for any generator order.
+    (RuntimeError if it and the map exceed ORBIT_CAP).
+
+    When every generator is a bijection, the keys of each block are
+    distinct and so are the fresh images of a step, whose bits are unset:
+    adding their bits with np.add.at sets them as or-ing would, at a sixth
+    of the cost.  Otherwise a key can reach the frontier twice, and every
+    step marks with np.bitwise_or.at.  A bit added twice carries into
+    another bit or out of its byte, so marking by addition raises
+    RuntimeError once the BFS has appended more than p^7 keys, and when the
+    map's count of set bits differs from the number of keys appended, the
+    start included: a wrong bijectivity verdict can neither hang the BFS
+    nor give a wrong map.
+
+    `visit`, if given, is called on each block of keys the BFS expands;
+    each key, the start included, is in one block (in more only if a
+    generator is not injective).  The size is the count of set bits, so it
+    cannot be inflated, and the map is a set, the same for any generator
+    order.
     """
     start = np.asarray(start, dtype=np.int64) % p
     if start[3] != start[4]:
@@ -278,27 +344,43 @@ def orbit(start, gens, p, steps=None, visit=None):
     key = int(start[_V0] @ p ** np.arange(6, -1, -1))
     seen = np.zeros(-(-p ** 7 // 8), dtype=np.uint8)
     seen[key >> 3] = 1 << (key & 7)
+    adding = all(bijective for *_, bijective in steps)
+    mark = np.add.at if adding else np.bitwise_or.at
+    appended, limit = 1, p ** 7
     frontier = [np.array([key], dtype=np.uint32)]
     while frontier:
         parts = []
         for keys in _blocks(frontier):
             if visit is not None:
                 visit(keys)
-            for d, hi, n, lo in steps:
-                # keys - keys // n * n is keys % n, and take() and compress()
+            for d, hi, n, lo, _ in steps:
+                # keys - high * n is keys % n, and take() and compress()
                 # are a fancy and a boolean index, each at under half the
-                # cost of numpy's own form; bitwise_or.at is fast on intp
-                images = hi.take(keys // d)
-                images += lo.take(keys - keys // n * n)
+                # cost of numpy's own form; ufunc.at is fast on intp
+                high = keys // d
+                images = hi.take(high)
+                images += lo.take(keys - (high if d == n else keys // n) * n)
                 byte = (images >> 3).astype(np.intp)
-                bit = np.left_shift(1, images & 7, dtype=np.uint8)
+                bit = _BITS.take(images & 7)
                 fresh = seen.take(byte) & bit == 0
-                if fresh.any():
-                    np.bitwise_or.at(seen, byte.compress(fresh), bit.compress(fresh))
-                    parts.append(images.compress(fresh))
+                images = images.compress(fresh)
+                if len(images):
+                    mark(seen, byte.compress(fresh), bit.compress(fresh))
+                    parts.append(images)
+                    appended += len(images)
+                    if adding and appended > limit:
+                        raise RuntimeError(
+                            f"the BFS appended {appended} keys, over the "
+                            f"{p}^7 of V0: a step marked by addition is not injective"
+                        )
         frontier = parts
     chunks = range(0, len(seen), _CHUNK)
     size = sum(int(np.bitwise_count(seen[i:i + _CHUNK]).sum()) for i in chunks)
+    if adding and size != appended:
+        raise RuntimeError(
+            f"the map holds {size} keys and the BFS appended {appended}: "
+            "a step marked by addition is not injective"
+        )
     return OrbitMap(seen, size)
 
 
@@ -311,24 +393,35 @@ def _same_map(a, b):
     )
 
 
-def _key_norms(keys, p):
-    """<v, v> = sum v_i v_{7-i} = 2(v0 v7 + v1 v6 + v2 v5 + v3^2) mod p
-    of the V0 vectors of an array of keys, read off their digits.
+def _norm_tables(p):
+    """(p^3, lead, trail, bits): with them, _half_norms reads v0 v7 + v1 v6
+    + v2 v5 + v3^2 off a key in one product.
 
-    The digits are split off in uint32 by divisions, which cannot wrap;
-    every key below p^7 must fit in uint32 (ValueError otherwise)."""
+    That sum is the t^3 coefficient of (v0 + v1 t + v2 t^2 + v3 t^3)(v3 +
+    v5 t + v6 t^2 + v7 t^3) (Kronecker substitution).  At t = 2^bits, where
+    4(p - 1)^2 < 2^bits bounds every coefficient, lead[key // p^3] holds
+    the first factor and trail[key % p^4] the second, times 2^(64 - 4 bits):
+    the uint64 product then carries the coefficient in its top `bits` bits,
+    with the lower coefficients below it and the higher ones wrapped away.
+    Both tables are uint64 of p^4 entries and index the same digits.
+    ValueError if keys below p^7 do not fit in uint32 or four fields do not
+    fit in uint64."""
     if p ** 7 > 2 ** 32:
         raise ValueError(f"keys below {p}^7 do not fit in uint32")
-    rest = np.asarray(keys, dtype=np.uint32)
-    digits = []
-    for _ in range(6):
-        high = rest // p
-        digits.append(rest - high * p)
-        rest = high
-    v7, v6, v5, v3, v2, v1 = digits
-    norm = 2 * (rest * v7 + v1 * v6 + v2 * v5 + v3 * v3)
-    # norm - norm // p * p is norm % p at under half its cost
-    return norm - norm // p * p
+    bits = (4 * (p - 1) ** 2).bit_length()
+    if 4 * bits > 64:
+        raise ValueError(f"four fields of {bits} bits do not fit in uint64")
+    digits = np.indices((p,) * 4, dtype=np.uint64).reshape(4, -1)
+    lead = sum(digit << np.uint64(i * bits) for i, digit in enumerate(digits))
+    return p ** 3, lead, lead << np.uint64(64 - 4 * bits), bits
+
+
+def _half_norms(keys, low, tables):
+    """v0 v7 + v1 v6 + v2 v5 + v3^2 (half of <v, v> = sum v_i v_{7-i}),
+    unreduced, of the V0 vectors of an array of uint32 keys, as uint64;
+    `low` is keys % p^4 and `tables` is _norm_tables(p)."""
+    d, lead, trail, bits = tables
+    return lead.take(keys // d) * trail.take(low) >> np.uint64(64 - bits)
 
 
 def sphere_count(q, rho):
@@ -348,8 +441,8 @@ def is_square_mod(rho, q):
 
 class FieldSetup:
     """What double_coset_check needs of F_q alone, for both quadratic
-    classes: the verdicts on the generator lists, the H_P generating set
-    and the step tables of its generators.
+    classes: the verdicts on the generator lists, the H_P generating set,
+    the step tables of its generators and the norm tables.
 
     Every BFS runs on the two-element set of bfs_generators, products of
     elements of the lists checked here, so it generates a subgroup H_P of
@@ -368,7 +461,8 @@ class FieldSetup:
     that fixes v0 and preserves J preserves v0^perp, and v_rho lies in
     it.  Each BFS generator is also tested on V0 directly; one that
     leaves V0 is left out of every BFS and makes orbit-inside-norm-sphere
-    FAIL.  ORBIT_CAP bounds the step tables and one map together.
+    FAIL.  ORBIT_CAP bounds the step tables, the norm tables and one map
+    together, and is tested before any of them is built.
     """
 
     def __init__(self, q):
@@ -385,7 +479,9 @@ class FieldSetup:
         bfs = bfs_generators(q)
         self.parabolic_gens = [g for g in bfs if _on_v0(g, q)[1]]
         self.leaving = len(bfs) - len(self.parabolic_gens)
-        self.parabolic_steps = _steps(self.parabolic_gens, q)
+        # the two uint64 norm tables of q^4 entries count under the cap too
+        self.parabolic_steps = _steps(self.parabolic_gens, q, reserved=16 * q ** 4)
+        self.norm_tables = _norm_tables(q)
 
 
 def double_coset_check(q, rho, setup=None):
@@ -416,7 +512,10 @@ def double_coset_check(q, rho, setup=None):
     )
 
     gens, steps, leaving = setup.parabolic_gens, setup.parabolic_steps, setup.leaving
-    two_rho = 2 * rho % q
+    tables = setup.norm_tables
+    # <v, v> = 2 * half norm is 2*rho mod q when the half norm is rho mod q
+    on_sphere = np.arange(1 << tables[-1]) % q == rho % q
+    q2, q4 = q * q, q ** 4
 
     def survey(start, zero_part):
         """(the size of the H_P map of start, whether every key is on the
@@ -425,9 +524,11 @@ def double_coset_check(q, rho, setup=None):
         holds = [True, True]
 
         def visit(keys):
-            # key % q^2 == 0, as keys // q^2 * q^2 == keys
-            holds[0] &= bool(((keys // (q * q) * (q * q) == keys) == zero_part).all())
-            holds[1] &= bool((_key_norms(keys, q) == two_rho).all())
+            # low is keys % q^4, the digits v3, v5, v6, v7; the key is 0
+            # mod q^2 when low is, as low // q^2 * q^2 == low
+            low = keys - keys // q4 * q4
+            holds[0] &= bool(((low // q2 * q2 == low) == zero_part).all())
+            holds[1] &= bool(on_sphere.take(_half_norms(keys, low, tables)).all())
 
         orb = orbit(start, gens, q, steps=steps, visit=visit)
         return len(orb), *holds, orb.seen

@@ -1,6 +1,7 @@
 """Finite-field orbit tests: generator integrity, BFS closure, and the
 two-parabolic-orbit partition."""
 
+import itertools
 from collections import Counter
 
 import numpy as np
@@ -15,17 +16,22 @@ from g2adjoint.g2model import (
     ROOT_EXP,
     ROOT_PARAMS,
     SIMPLE_PARAMS,
+    TRILINEAR,
     one_param,
     root_exp,
 )
 from g2adjoint.orbits import (
+    _BLOCK,
+    _TRIPLES,
     _V0,
     FieldSetup,
-    _key_norms,
+    _bijective,
+    _half_norms,
+    _norm_tables,
+    _on_v0,
     _parabolic,
-    _pull_back,
+    _pulled_back_triples,
     _steps,
-    _trilinear_dense,
     bfs_generators,
     companion_rho,
     coroot_mod,
@@ -112,18 +118,45 @@ def test_generators_preserve_structures():
     assert generator_invariants_hold([], 5) is True
 
 
+def _trilinear_dense():
+    t = np.zeros((8, 8, 8), dtype=np.int64)
+    for (i, j, k), c in TRILINEAR.items():
+        t[i, j, k] = int(c)
+    return t
+
+
+def _sign(perm):
+    """The sign of a permutation of range(len(perm)), by its inversions."""
+    inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+    return -1 if inversions % 2 else 1
+
+
+def test_trilinear_form_is_alternating():
+    # generator_invariants_hold compares T only at i < j < k, which is all
+    # of T when T is alternating: every permutation of a key is a key, with
+    # the coefficient times the permutation's sign, and no key repeats an
+    # index (so T vanishes off the permutations of its wedges)
+    for key, c in TRILINEAR.items():
+        assert len(set(key)) == 3, key
+        for perm in itertools.permutations(range(3)):
+            permuted = tuple(key[i] for i in perm)
+            assert TRILINEAR.get(permuted) == _sign(perm) * c, (key, perm)
+
+
 @pytest.mark.parametrize("q", [5, 7])
 def test_pull_back_matches_einsum(q):
-    # the three einsum contractions the batched matmuls replaced, as an
-    # oracle, on every generator and on matrices that preserve nothing
+    # three einsum contractions of the dense T, as an oracle for the sums
+    # of 3x3 minors at i < j < k, on every generator and on matrices that
+    # preserve nothing
     t = _trilinear_dense()
     rng = np.random.default_rng(q)
     g = np.stack(group_generators(q, "full") + list(rng.integers(0, q, (20, 8, 8))))
     pulled = np.einsum("lmn,gli->gimn", t, g) % q
     pulled = np.einsum("gimn,gmj->gijn", pulled, g) % q
     pulled = np.einsum("gijn,gnk->gijk", pulled, g) % q
-    assert np.array_equal(_pull_back(g, t, q), pulled)
-    assert np.array_equal(_pull_back(g, t % q, q), pulled)
+    i, j, k = _TRIPLES
+    assert _TRIPLES.shape == (3, 56) and (i < j).all() and (j < k).all()
+    assert np.array_equal(_pulled_back_triples(g, q), pulled[:, i, j, k])
     assert not generator_invariants_hold(list(g[-20:]), q)
 
 
@@ -179,6 +212,14 @@ def test_orbit_cap_is_enforced(monkeypatch):
         orbit(np.array([0, 0, 1, 0, 0, 2, 0, 0]), gens, 5)
 
 
+def _non_injective():
+    """v7 -> 0 and v0 += v7: maps V0 into V0 but is not injective."""
+    g = np.eye(8, dtype=np.int64)
+    g[7, 7] = 0
+    g[0, 7] = 1
+    return g
+
+
 def test_a_non_injective_generator_does_not_inflate_the_size():
     # v7 -> 0 and v0 += v7 maps V0 into V0 but is not injective, so two
     # keys of one block can share an image; the size is the map's count
@@ -189,11 +230,52 @@ def test_a_non_injective_generator_does_not_inflate_the_size():
     assert len(out) == len(_keys_of(out)) == 5 ** 7
 
 
+def test_a_wrong_bijectivity_verdict_stops_the_bfs(monkeypatch):
+    from g2adjoint import orbits
+
+    # the non-injective generator, declared a bijection, is marked by
+    # addition: a duplicate image carries into another bit or out of its
+    # byte, and the BFS must raise within p^7 keys appended, neither hang
+    # nor return a map
+    gens = _g2_bfs_generators(5) + [_non_injective()]
+    assert [step[4] for step in _steps(gens, 5)] == [True, True, False]
+    monkeypatch.setattr(orbits, "_bijective", lambda m, p: True)
+    assert all(step[4] for step in _steps(gens, 5))
+    visited = []
+    with pytest.raises(RuntimeError, match="appended 78429 keys, over the 5"):
+        orbit(_v_rho(2, 5), gens, 5, visit=lambda keys: visited.append(len(keys)))
+    assert sum(visited) <= 5 ** 7 + _BLOCK
+    # v7 += v0 beside it: duplicates carry, well below p^7 keys, and the
+    # map's count of set bits falls short of the keys appended
+    shear = np.eye(8, dtype=np.int64)
+    shear[7, 0] = 1
+    with pytest.raises(RuntimeError, match="map holds 22 keys and the BFS appended 40"):
+        orbit(np.array([0, 0, 1, 0, 0, 2, 0, 1]), [shear, _non_injective()], 5)
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_bijectivity_verdict_matches_the_determinant(q):
+    # float determinants of small integer matrices are exact enough to
+    # round, as an oracle for the elimination mod q
+    rng = np.random.default_rng(q)
+    matrices = list(rng.integers(0, q, (200, 7, 7)))
+    matrices += [np.diag([1, 1, 1, 1, 1, 1, 0]), np.eye(7, dtype=np.int64)]
+    verdicts = {True: 0, False: 0}
+    for m in matrices:
+        expected = round(np.linalg.det(m.astype(float))) % q != 0
+        assert _bijective(m, q) == expected, m
+        verdicts[expected] += 1
+    assert min(verdicts.values()) > 0
+    gens = group_generators(q, "full") + bfs_generators(q)
+    assert all(_bijective(_on_v0(g, q)[0], q) for g in gens)
+    assert not _bijective(_on_v0(_non_injective(), q)[0], q)
+
+
 def test_tables_over_cap_are_refused_before_any_is_built(monkeypatch):
     from g2adjoint import orbits
 
     gens = group_generators(5, "full")
-    table_bytes = sum(hi.nbytes + lo.nbytes for _, hi, _, lo in _steps(gens, 5))
+    table_bytes = sum(hi.nbytes + lo.nbytes for _, hi, _, lo, _ in _steps(gens, 5))
     # the q^7-bit map and the tables fit under this cap, and not under one
     # byte less, where the map alone still fits
     map_bytes = -(-5 ** 7 // 8)
@@ -210,6 +292,29 @@ def test_tables_over_cap_are_refused_before_any_is_built(monkeypatch):
     monkeypatch.setattr(fields, "ORBIT_CAP", map_bytes + table_bytes - 1)
     with pytest.raises(RuntimeError, match="tables of"):
         orbit(_v_rho(2, 5), gens, 5)
+
+
+def test_field_set_up_over_cap_is_refused_before_any_table_is_built(monkeypatch):
+    from g2adjoint import orbits
+
+    # a FieldSetup holds the step tables and the two uint64 norm tables of
+    # q^4 entries, counted with one map under the cap before any is built
+    setup = FieldSetup(5)
+    step_bytes = sum(hi.nbytes + lo.nbytes for _, hi, _, lo, _ in setup.parabolic_steps)
+    norm_bytes = sum(table.nbytes for table in setup.norm_tables[1:3])
+    assert norm_bytes == 2 * 8 * 5 ** 4
+    total = -(-5 ** 7 // 8) + step_bytes + norm_bytes
+    monkeypatch.setattr(fields, "ORBIT_CAP", total)
+    assert FieldSetup(5).norm_tables[-1] == setup.norm_tables[-1]
+
+    def refuse(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(orbits, "_table", refuse)
+    monkeypatch.setattr(orbits, "_norm_tables", refuse)
+    monkeypatch.setattr(fields, "ORBIT_CAP", total - 1)
+    with pytest.raises(RuntimeError, match="norm tables of 10000 bytes"):
+        FieldSetup(5)
 
 
 def test_prebuilt_tables_must_match_their_generators():
@@ -333,27 +438,44 @@ def test_double_coset_check_passes_for_every_rho(q):
         assert report.passed, report.to_text()
 
 
+NORM_TABLES = {q: _norm_tables(q) for q in (5, 7, 17, 23)}
+
+
+def _key_norms(keys, q):
+    """<v, v> = 2 * half norm mod q of an array of uint32 keys, by the
+    norm tables."""
+    halves = _half_norms(keys, keys % q ** 4, NORM_TABLES[q])
+    assert halves.dtype == np.uint64
+    return 2 * halves % q
+
+
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
 @given(st.sampled_from([5, 7, 17, 23]), st.data())
 def test_key_norms_match_decoded_vectors(q, data):
     # keys 0 and q^7 - 1 always: at q = 23 the last is the largest key
-    # ORBIT_CAP admits, and it must survive the uint32 digit split
+    # ORBIT_CAP admits, and its fields must survive the uint64 product
     drawn = data.draw(st.lists(st.integers(0, q ** 7 - 1), max_size=50))
     keys = np.array([0, q ** 7 - 1] + drawn, dtype=np.uint32)
     vectors = _vectors(keys, q)
     expected = (vectors * vectors[:, ::-1]).sum(axis=1) % q
     assert np.array_equal(_key_norms(keys, q), expected)
+    # the half norm itself, unreduced
+    halves = _half_norms(keys, keys % q ** 4, NORM_TABLES[q])
+    assert np.array_equal(halves, (vectors * vectors[:, ::-1]).sum(axis=1) // 2)
 
 
 def test_key_norms_split_the_largest_q23_key():
     # 23^7 - 1 > 2^31 - 1 has every digit 22: its norm is
-    # 2 (3 * 22^2 + 22^2) = 8 * 22^2 = 8 mod 23, as a uint32 key
+    # 2 (3 * 22^2 + 22^2) = 8 * 22^2 = 8 mod 23, as a uint32 key; its half
+    # norm 4 * 22^2 = 1936 is the largest coefficient, in 11 bits
     key = np.array([23 ** 7 - 1], dtype=np.uint32)
     assert key[0] > np.iinfo(np.int32).max
     assert list(_key_norms(key, 23)) == [8]
+    assert NORM_TABLES[23][-1] == 11
+    assert list(_half_norms(key, key % 23 ** 4, NORM_TABLES[23])) == [1936]
     # keys below 29^7 do not fit in uint32
     with pytest.raises(ValueError, match="uint32"):
-        _key_norms(np.array([0, 1], dtype=np.uint32), 29)
+        _norm_tables(29)
 
 
 @pytest.mark.parametrize("which", ["full", "parabolic"])
@@ -373,7 +495,7 @@ def test_step_tables_match_the_matrix_product(q, source, which, data):
     )
     pows = q ** np.arange(6, -1, -1)
     vectors = _vectors(keys, q)
-    for g, (d, hi, n, lo) in zip(gens, _steps(gens, q)):
+    for g, (d, hi, n, lo, _) in zip(gens, _steps(gens, q)):
         expected = (vectors @ g.T % q)[:, _V0] @ pows
         assert np.array_equal(hi[keys // d] + lo[keys % n], expected)
 
@@ -436,8 +558,10 @@ def test_map_over_cap_is_refused_before_any_bfs(monkeypatch):
     from g2adjoint import orbits
 
     # q=5: the bit map of V0 has 5^7 bits, 9766 bytes; the check needs
-    # room for it and the step tables of its FieldSetup
-    tables = sum(hi.nbytes + lo.nbytes for _, hi, _, lo in FieldSetup(5).parabolic_steps)
+    # room for it, the step tables and the norm tables of its FieldSetup
+    setup = FieldSetup(5)
+    tables = sum(hi.nbytes + lo.nbytes for _, hi, _, lo, _ in setup.parabolic_steps)
+    tables += sum(table.nbytes for table in setup.norm_tables[1:3])
     monkeypatch.setattr(orbits, "orbit", None)
     with pytest.raises(ValueError, match="cap of"):
         double_coset_check(29, 2)
