@@ -3,7 +3,7 @@
 Subcommands (all under `verify`): lie, iwasawa, identities, lfactor,
 integral, orbits, all.  Output is human-readable text or a stable JSON
 document; exit code 0 when every check passes, 1 on any failure, 2 on
-usage errors and invalid values.
+usage errors, invalid values and a report that cannot be written.
 
 Only the orbit suite needs numpy, and it is imported when that suite
 runs, so the other five suites and a refused --q/--rho never load it;
@@ -163,8 +163,13 @@ def run(args):
         payload = "\n\n".join(blocks) + "\n"
 
     if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(payload)
+        # a write that fails after the suites ran (a full disk) is a usage
+        # error as an unwritable path is, not a failed check
+        try:
+            with open(args.out, "w") as handle:
+                handle.write(payload)
+        except OSError as exc:
+            args.usage_error(f"--out {args.out}: {exc.strerror}")
     else:
         sys.stdout.write(payload)
     return 0 if all(r.passed for r in reports) else 1

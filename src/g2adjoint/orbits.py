@@ -18,10 +18,11 @@ significant; key order is the lexicographic order of the vectors.  A BFS
 holds uint32 keys only (23^7 < 2^32): the image of a key under a
 generator is the sum of two integer table lookups, one indexed by a
 leading run of its digits and one by a trailing run.  It marks its orbit
-in a bit map of p^7 bits, so the closure is a set (hence
-order-independent); when every generator is invertible mod p, as every
-generator of the check is, the fresh images of a step are distinct and
-np.add.at marks them, and otherwise np.bitwise_or.at does.  The checks
+in a bit map of p^7 bits by adding the bits of each step's fresh images
+with np.add.at, and certifies that this marked a set (hence
+order-independent): addition that meets a set bit carries, so the map's
+count of set bits equals the keys appended only if every step marked
+distinct unset bits, and the BFS raises RuntimeError otherwise.  The checks
 test each block of keys as the BFS expands it: the side of the predicate
 is key % p^2, and the norm is one uint64 product of two table lookups
 (Kronecker substitution, _norm_tables).
@@ -94,12 +95,6 @@ def _n_mod(params, t, p):
     t_inv = np.array([pow(int(u), -1, p) for u in t], dtype=np.int64)
     x = _exp_mod(params, t, p)
     return x @ _exp_mod([OPPOSITE_ROOT[param] for param in params], -t_inv, p) % p @ x % p
-
-
-def coroot_mod(param, t, p):
-    """h_root(t) = n_root(t) n_root(-1) mod p."""
-    n = _n_mod([param], [int(t), p - 1], p)[0]
-    return n[0] @ n[1] % p
 
 
 def group_generators(q, which="full"):
@@ -250,30 +245,11 @@ def _blocks(parts):
         yield np.concatenate(group)
 
 
-def _bijective(m, p):
-    """Whether the square integer matrix m is invertible mod the prime p:
-    its determinant, by elimination mod p, is nonzero.  Python ints: at
-    7x7 that is several times faster than numpy row operations."""
-    rows = [[int(x) % p for x in row] for row in m]
-    for col in range(len(rows)):
-        pivot = next((i for i in range(col, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            return False
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        top = rows[col]
-        inv = pow(top[col], -1, p)
-        for row in rows[col + 1:]:
-            scale = row[col] * inv % p
-            row[:] = [(x - scale * y) % p for x, y in zip(row, top)]
-    return True
-
-
 def _steps(gens, p, reserved=0):
-    """(d, hi, n, lo, bijective) for each generator g, with key(g v) =
-    hi[key // d] + lo[key % n] on V0: the leading output digits of g read
-    only the first `pre` digits of a key and the trailing ones only the
-    last `suf` (_split), so d = p^(7 - pre) and n = p^suf; `bijective`
-    says whether g is invertible on V0 mod p.  ValueError if g does not
+    """(d, hi, n, lo) for each generator g, with key(g v) = hi[key // d]
+    + lo[key % n] on V0: the leading output digits of g read only the
+    first `pre` digits of a key and the trailing ones only the last `suf`
+    (_split), so d = p^(7 - pre) and n = p^suf.  ValueError if g does not
     map V0 into V0; RuntimeError, before any table is built, if the
     tables, one orbit map of p^7 bits and the `reserved` bytes of the
     caller's norm tables take more than ORBIT_CAP bytes in all."""
@@ -295,7 +271,6 @@ def _steps(gens, p, reserved=0):
             _table(m, range(rows), range(pre), p),
             p ** suf,
             _table(m, range(rows, 7), range(7 - suf, 7), p),
-            _bijective(m, p),
         )
         for m, (rows, pre, suf) in splits
     ]
@@ -317,22 +292,18 @@ def orbit(start, gens, p, steps=None, visit=None):
     _steps(gens, p), one entry per generator; otherwise it is built here
     (RuntimeError if it and the map exceed ORBIT_CAP).
 
-    When every generator is a bijection, the keys of each block are
-    distinct and so are the fresh images of a step, whose bits are unset:
-    adding their bits with np.add.at sets them as or-ing would, at a sixth
-    of the cost.  Otherwise a key can reach the frontier twice, and every
-    step marks with np.bitwise_or.at.  A bit added twice carries into
-    another bit or out of its byte, so marking by addition raises
-    RuntimeError once the BFS has appended more than p^7 keys, and when the
-    map's count of set bits differs from the number of keys appended, the
-    start included: a wrong bijectivity verdict can neither hang the BFS
-    nor give a wrong map.
+    Each step marks its fresh images by adding their bits with np.add.at,
+    which is or-ing them when the images are distinct.  A bit added twice
+    carries into another bit or out of its byte and leaves the map's count
+    of set bits short of the keys appended.  So the BFS raises RuntimeError
+    once it has appended more than p^7 keys, and when that count differs
+    from the number of keys appended, the start included: a generator set
+    that is not injective on its orbit stops the BFS within p^7 keys
+    appended and cannot give a wrong map.  A map returned is the closure as a set, the same for any
+    generator order, and its size cannot be inflated.
 
     `visit`, if given, is called on each block of keys the BFS expands;
-    each key, the start included, is in one block (in more only if a
-    generator is not injective).  The size is the count of set bits, so it
-    cannot be inflated, and the map is a set, the same for any generator
-    order.
+    each key, the start included, is in exactly one block.
     """
     start = np.asarray(start, dtype=np.int64) % p
     if start[3] != start[4]:
@@ -344,8 +315,6 @@ def orbit(start, gens, p, steps=None, visit=None):
     key = int(start[_V0] @ p ** np.arange(6, -1, -1))
     seen = np.zeros(-(-p ** 7 // 8), dtype=np.uint8)
     seen[key >> 3] = 1 << (key & 7)
-    adding = all(bijective for *_, bijective in steps)
-    mark = np.add.at if adding else np.bitwise_or.at
     appended, limit = 1, p ** 7
     frontier = [np.array([key], dtype=np.uint32)]
     while frontier:
@@ -353,7 +322,7 @@ def orbit(start, gens, p, steps=None, visit=None):
         for keys in _blocks(frontier):
             if visit is not None:
                 visit(keys)
-            for d, hi, n, lo, _ in steps:
+            for d, hi, n, lo in steps:
                 # keys - high * n is keys % n, and take() and compress()
                 # are a fancy and a boolean index, each at under half the
                 # cost of numpy's own form; ufunc.at is fast on intp
@@ -365,21 +334,21 @@ def orbit(start, gens, p, steps=None, visit=None):
                 fresh = seen.take(byte) & bit == 0
                 images = images.compress(fresh)
                 if len(images):
-                    mark(seen, byte.compress(fresh), bit.compress(fresh))
+                    np.add.at(seen, byte.compress(fresh), bit.compress(fresh))
                     parts.append(images)
                     appended += len(images)
-                    if adding and appended > limit:
+                    if appended > limit:
                         raise RuntimeError(
                             f"the BFS appended {appended} keys, over the "
-                            f"{p}^7 of V0: a step marked by addition is not injective"
+                            f"{p}^7 of V0: a step is not injective"
                         )
         frontier = parts
     chunks = range(0, len(seen), _CHUNK)
     size = sum(int(np.bitwise_count(seen[i:i + _CHUNK]).sum()) for i in chunks)
-    if adding and size != appended:
+    if size != appended:
         raise RuntimeError(
             f"the map holds {size} keys and the BFS appended {appended}: "
-            "a step marked by addition is not injective"
+            "a step is not injective"
         )
     return OrbitMap(seen, size)
 

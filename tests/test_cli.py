@@ -1,5 +1,6 @@
 """CLI behavior: subcommands, exit codes, output formats, determinism."""
 
+import errno
 import hashlib
 import json
 import os
@@ -281,6 +282,23 @@ def test_out_writes_file(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     doc = json.loads(path.read_text())
     assert doc["passed"] is True
+
+
+def test_a_failed_write_to_out_exits_2(tmp_path, monkeypatch, capsys):
+    # the path passes the check before the suites run; the write itself
+    # then fails, as on a full disk, and is reported as a usage error
+    def full(*args, **kwargs):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cli, "open", full, raising=False)
+    path = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "lfactor", "--case", "split", "--out", str(path)])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: g2adjoint verify lfactor ")
+    assert f"--out {path}: No space left on device" in captured.err
 
 
 def test_orbits_subcommand(capsys):

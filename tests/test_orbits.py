@@ -25,7 +25,6 @@ from g2adjoint.orbits import (
     _TRIPLES,
     _V0,
     FieldSetup,
-    _bijective,
     _half_norms,
     _norm_tables,
     _on_v0,
@@ -34,7 +33,6 @@ from g2adjoint.orbits import (
     _steps,
     bfs_generators,
     companion_rho,
-    coroot_mod,
     double_coset_check,
     generator_invariants_hold,
     group_generators,
@@ -62,17 +60,27 @@ def test_one_param_mod_matches_symbolic():
                 assert (one_param_mod(param, t, p) == expected).all(), (p, param, t)
 
 
+def _coroot_words(q):
+    """h_alpha1(t), h_alpha2(t) for t = 2, ..., q - 1 from the exact
+    kernel, reduced mod q, in the order of group_generators."""
+    return [
+        reduce_mod(coroot_element(
+            param, LaurentPoly.constant(t), LaurentPoly.constant(pow(t, -1, q))
+        ), q)
+        for param in SIMPLE_PARAMS for t in range(2, q)
+    ]
+
+
 def test_coroot_elements_are_diagonal_mod_p():
+    # the coroot words group_generators appends after the 12(q - 1)
+    # one-parameter elements, against the exact kernel's h_root(t)
     for q in (5, 7):
-        for param in ("a", "b"):
-            for t in range(2, q):
-                h = coroot_mod(param, t, q)
-                off = h - np.diag(np.diag(h))
-                assert not off.any(), (q, param, t)
-                symbolic = coroot_element(
-                    param, LaurentPoly.constant(t), LaurentPoly.constant(pow(t, -1, q))
-                )
-                assert (h == reduce_mod(symbolic, q)).all(), (q, param, t)
+        words = group_generators(q, "full")[12 * (q - 1):]
+        expected = _coroot_words(q)
+        assert len(words) == len(expected) == 2 * (q - 2)
+        for i, (h, symbolic) in enumerate(zip(words, expected)):
+            assert not (h - np.diag(np.diag(h))).any(), (q, i)
+            assert (h == symbolic).all(), (q, i)
 
 
 def test_generator_setup_makes_no_kernel_call(monkeypatch):
@@ -106,8 +114,7 @@ def test_parabolic_generators_are_picked_by_their_roots():
         picked = _parabolic(group_generators(q, "full"), q)
         built = [one_param_mod(param, t, q) for param in PARABOLIC_PARAMS
                  for t in range(1, q)]
-        built += [coroot_mod(param, t, q) for param in SIMPLE_PARAMS
-                  for t in range(2, q)]
+        built += _coroot_words(q)
         assert sorted(g.tobytes() for g in picked) == sorted(g.tobytes() for g in built)
 
 
@@ -220,27 +227,12 @@ def _non_injective():
     return g
 
 
-def test_a_non_injective_generator_does_not_inflate_the_size():
+def test_a_non_injective_generator_stops_the_bfs():
     # v7 -> 0 and v0 += v7 maps V0 into V0 but is not injective, so two
-    # keys of one block can share an image; the size is the map's count
-    g = np.eye(8, dtype=np.int64)
-    g[7, 7] = 0
-    g[0, 7] = 1
-    out = orbit(_v_rho(2, 5), _g2_bfs_generators(5) + [g], 5)
-    assert len(out) == len(_keys_of(out)) == 5 ** 7
-
-
-def test_a_wrong_bijectivity_verdict_stops_the_bfs(monkeypatch):
-    from g2adjoint import orbits
-
-    # the non-injective generator, declared a bijection, is marked by
-    # addition: a duplicate image carries into another bit or out of its
-    # byte, and the BFS must raise within p^7 keys appended, neither hang
-    # nor return a map
+    # keys of one block can share an image; marked by addition, a
+    # duplicate carries into another bit or out of its byte, and the BFS
+    # must raise within p^7 keys appended, neither hang nor return a map
     gens = _g2_bfs_generators(5) + [_non_injective()]
-    assert [step[4] for step in _steps(gens, 5)] == [True, True, False]
-    monkeypatch.setattr(orbits, "_bijective", lambda m, p: True)
-    assert all(step[4] for step in _steps(gens, 5))
     visited = []
     with pytest.raises(RuntimeError, match="appended 78429 keys, over the 5"):
         orbit(_v_rho(2, 5), gens, 5, visit=lambda keys: visited.append(len(keys)))
@@ -253,29 +245,65 @@ def test_a_wrong_bijectivity_verdict_stops_the_bfs(monkeypatch):
         orbit(np.array([0, 0, 1, 0, 0, 2, 0, 1]), [shear, _non_injective()], 5)
 
 
+def _invertible_on_v0(g, q):
+    """Whether g on V0 is invertible mod q, by the rounded float
+    determinant, exact for small integer matrices."""
+    return round(np.linalg.det(_on_v0(g, q)[0].astype(float))) % q != 0
+
+
 @pytest.mark.parametrize("q", [5, 7])
 def test_bijectivity_verdict_matches_the_determinant(q):
-    # float determinants of small integer matrices are exact enough to
-    # round, as an oracle for the elimination mod q
-    rng = np.random.default_rng(q)
-    matrices = list(rng.integers(0, q, (200, 7, 7)))
-    matrices += [np.diag([1, 1, 1, 1, 1, 1, 0]), np.eye(7, dtype=np.int64)]
-    verdicts = {True: 0, False: 0}
-    for m in matrices:
-        expected = round(np.linalg.det(m.astype(float))) % q != 0
-        assert _bijective(m, q) == expected, m
-        verdicts[expected] += 1
-    assert min(verdicts.values()) > 0
-    gens = group_generators(q, "full") + bfs_generators(q)
-    assert all(_bijective(_on_v0(g, q)[0], q) for g in gens)
-    assert not _bijective(_on_v0(_non_injective(), q)[0], q)
+    # every generator the check, verify all or a benchmark hands to orbit
+    # is a product of root elements, invertible on V0 mod q, which is why
+    # the BFS never raises on them
+    for g in group_generators(q, "full") + bfs_generators(q):
+        assert _invertible_on_v0(g, q), g
+
+
+def _random_v0_map(rng):
+    """An integer generator that maps V0 into V0, sending each coordinate
+    of V0 to 0 or +-1 times one coordinate: a signed permutation, or a
+    singular map when a source repeats or a sign is 0."""
+    source = rng.permutation(7) if rng.random() < 0.6 else rng.integers(0, 7, 7)
+    m = np.zeros((7, 7), dtype=np.int64)
+    m[np.arange(7), source] = rng.choice([1, -1, 0], size=7, p=[0.45, 0.45, 0.1])
+    g = np.zeros((8, 8), dtype=np.int64)
+    g[np.ix_(_V0, _V0)] = m
+    g[4] = g[3]
+    return g
+
+
+def test_random_generator_sets_give_the_reference_orbit_or_raise():
+    # seeded: from a 0/1 start, signed maps stay in {0, +-1}^7, small
+    # enough for the plain-Python oracle.  A returned map must hold exactly
+    # the oracle's keys, singular sets included; only a singular set may
+    # raise, and some must, or the bit-count guard would go untested
+    q = 5
+    rng = np.random.default_rng(2011)
+    outcomes = Counter()
+    for _ in range(20):
+        gens = [_random_v0_map(rng) for _ in range(rng.integers(1, 4))]
+        start = np.zeros(8, dtype=np.int64)
+        start[_V0] = rng.integers(0, 2, 7)
+        start[4] = start[3]
+        singular = not all(_invertible_on_v0(g, q) for g in gens)
+        try:
+            got = orbit(start, gens, q)
+        except RuntimeError:
+            outcomes["raised", singular] += 1
+            continue
+        assert np.array_equal(_vectors_of(got, q), _reference_orbit(start, gens, q))
+        assert len(got) == len(_keys_of(got))
+        outcomes["returned", singular] += 1
+    assert outcomes["raised", True] and outcomes["returned", True], outcomes
+    assert outcomes["returned", False] and not outcomes["raised", False], outcomes
 
 
 def test_tables_over_cap_are_refused_before_any_is_built(monkeypatch):
     from g2adjoint import orbits
 
     gens = group_generators(5, "full")
-    table_bytes = sum(hi.nbytes + lo.nbytes for _, hi, _, lo, _ in _steps(gens, 5))
+    table_bytes = sum(hi.nbytes + lo.nbytes for _, hi, _, lo in _steps(gens, 5))
     # the q^7-bit map and the tables fit under this cap, and not under one
     # byte less, where the map alone still fits
     map_bytes = -(-5 ** 7 // 8)
@@ -300,7 +328,7 @@ def test_field_set_up_over_cap_is_refused_before_any_table_is_built(monkeypatch)
     # a FieldSetup holds the step tables and the two uint64 norm tables of
     # q^4 entries, counted with one map under the cap before any is built
     setup = FieldSetup(5)
-    step_bytes = sum(hi.nbytes + lo.nbytes for _, hi, _, lo, _ in setup.parabolic_steps)
+    step_bytes = sum(hi.nbytes + lo.nbytes for _, hi, _, lo in setup.parabolic_steps)
     norm_bytes = sum(table.nbytes for table in setup.norm_tables[1:3])
     assert norm_bytes == 2 * 8 * 5 ** 4
     total = -(-5 ** 7 // 8) + step_bytes + norm_bytes
@@ -495,7 +523,7 @@ def test_step_tables_match_the_matrix_product(q, source, which, data):
     )
     pows = q ** np.arange(6, -1, -1)
     vectors = _vectors(keys, q)
-    for g, (d, hi, n, lo, _) in zip(gens, _steps(gens, q)):
+    for g, (d, hi, n, lo) in zip(gens, _steps(gens, q)):
         expected = (vectors @ g.T % q)[:, _V0] @ pows
         assert np.array_equal(hi[keys // d] + lo[keys % n], expected)
 
@@ -560,7 +588,7 @@ def test_map_over_cap_is_refused_before_any_bfs(monkeypatch):
     # q=5: the bit map of V0 has 5^7 bits, 9766 bytes; the check needs
     # room for it, the step tables and the norm tables of its FieldSetup
     setup = FieldSetup(5)
-    tables = sum(hi.nbytes + lo.nbytes for _, hi, _, lo, _ in setup.parabolic_steps)
+    tables = sum(hi.nbytes + lo.nbytes for _, hi, _, lo in setup.parabolic_steps)
     tables += sum(table.nbytes for table in setup.norm_tables[1:3])
     monkeypatch.setattr(orbits, "orbit", None)
     with pytest.raises(ValueError, match="cap of"):
