@@ -227,18 +227,23 @@ def _non_injective():
     return g
 
 
-def test_a_non_injective_generator_stops_the_bfs():
-    # v7 -> 0 and v0 += v7 maps V0 into V0 but is not injective, so two
-    # keys of one block can share an image; marked by addition, a
-    # duplicate carries into another bit or out of its byte, and the BFS
-    # must raise within p^7 keys appended, neither hang nor return a map
+def test_a_wrong_bijectivity_verdict_stops_the_bfs():
+    # every step is marked by addition, as a step declared a bijection
+    # once was; v7 -> 0 and v0 += v7 maps V0 into V0 but is not injective,
+    # so two keys of one block can share an image, a duplicate carries into
+    # another bit or out of its byte, and the BFS must raise within p^7
+    # keys appended, neither hang nor return a map
     gens = _g2_bfs_generators(5) + [_non_injective()]
     visited = []
     with pytest.raises(RuntimeError, match="appended 78429 keys, over the 5"):
         orbit(_v_rho(2, 5), gens, 5, visit=lambda keys: visited.append(len(keys)))
     assert sum(visited) <= 5 ** 7 + _BLOCK
-    # v7 += v0 beside it: duplicates carry, well below p^7 keys, and the
-    # map's count of set bits falls short of the keys appended
+
+
+def test_a_non_injective_generator_does_not_inflate_the_size():
+    # v7 += v0 beside the non-injective generator: duplicates carry, well
+    # below p^7 keys, and the map's count of set bits falls short of the
+    # keys appended, so the BFS raises rather than return a wrong map
     shear = np.eye(8, dtype=np.int64)
     shear[7, 0] = 1
     with pytest.raises(RuntimeError, match="map holds 22 keys and the BFS appended 40"):
